@@ -1,27 +1,27 @@
 """EXP-ARENA-WINDOW — the block-stepped arena vs the slot-stepped oracle.
 
 The windowed driver (:mod:`repro.arena.window`) exists to make reactive
-grids as cheap as oblivious ones: a latency-L jammer (L >= 1) cannot see
-inside an L-slot window, so the arena advances whole speculative windows
-through one batched kernel pass instead of paying per-slot Python.  This
-bench regenerates the acceptance figure — a sensing-latency ladder
-(L in {0, 1, 2, 4, 8}) run slot-stepped *and* windowed at gallery scale,
-asserting bit-identity before any timing.
+grids as cheap as oblivious ones: a latency-L jammer decides slot t from
+the busy mask of slot t - L, and busy masks never depend on jamming, so the
+arena advances whole speculative windows through one batched kernel pass
+instead of paying per-slot Python.  This bench regenerates the acceptance
+figure — a sensing-latency ladder (L in {0, 1, 2, 4, 8}) run slot-stepped
+*and* windowed at gallery scale, asserting bit-identity before any timing.
 
 Two protocol rungs, because the attainable speedup is protocol-shaped:
 
 * ``multicast_c`` (Thm 7.1's C-channel protocol, C = 4): nodes draw one
   virtual slot per *round*, so per-slot RNG cost is tiny and window stepping
   removes nearly all per-slot overhead — the committed full-scale figure is
-  the >= 10x headline at every L >= 1.
+  the >= 10x headline at every rung.
 * ``multicast`` (Fig. 2): nodes draw channel + coin *every slot*; those
   draws are the PeriodDraws contract (bit-identity to the scalar oracle) and
   are paid identically by both backends, so the windowed floor is the raw
-  generator fill rate — a ~6-8x speedup, recorded honestly alongside.
+  generator fill rate — a ~7-9x speedup, recorded honestly alongside.
 
-L = 0 rungs are the negative control: within-slot sensing cannot be
-windowed, ``backend="auto"`` falls back to slot stepping, and the row
-records the fallback instead of a speedup.
+L = 0 rungs (within-slot sensing, the sniper's power) are timed like the
+rest: the window has no history ring to consult, every row simply targets
+its own busy mask, and ``backend="auto"`` window-steps them too.
 
 ``REPRO_BENCH_JSON=<dir> pytest benchmarks/bench_arena_windowed.py -s``
 regenerates ``BENCH_arena_windowed.json``; ``REPRO_BENCH_SMOKE=1`` shrinks
@@ -51,60 +51,39 @@ def _ladder(make_protocol, n, budget, seed):
             make_protocol(), n, jammer, seed=seed, backend="slot"
         )
         slot_s = time.perf_counter() - t0
-        row = {
-            "slot_s": round(slot_s, 3),
+        jammer = ReactiveLatencyJammer(budget, latency=latency, k=4, seed=9)
+        t0 = time.perf_counter()
+        windowed = run_broadcast_adaptive(make_protocol(), n, jammer, seed=seed)
+        window_s = time.perf_counter() - t0
+        # bit-identity first: the timing means nothing otherwise
+        assert windowed.extras["backend"] == "arena-window"
+        assert windowed.slots == slot.slots
+        assert windowed.adversary_spend == slot.adversary_spend
+        assert (windowed.node_energy == slot.node_energy).all()
+        assert (windowed.informed_slot == slot.informed_slot).all()
+        assert (windowed.halt_slot == slot.halt_slot).all()
+        rungs[f"latency_{latency}"] = {
+            "slot_s": slot_s,
+            "window_s": window_s,
             "slots": int(slot.slots),
-            "slots_per_s_slot": round(slot.slots / slot_s),
         }
-        if latency == 0:
-            # within-slot sensing: windowing is unsound, auto must fall back
-            auto = run_broadcast_adaptive(
-                make_protocol(), n,
-                ReactiveLatencyJammer(budget, latency=0, k=4, seed=9),
-                seed=seed,
-            )
-            assert auto.extras["backend"] == "arena-slot"
-            row["windowed"] = "unsound (slot fallback)"
-        else:
-            jammer = ReactiveLatencyJammer(budget, latency=latency, k=4, seed=9)
-            t0 = time.perf_counter()
-            windowed = run_broadcast_adaptive(
-                make_protocol(), n, jammer, seed=seed, backend="window"
-            )
-            window_s = time.perf_counter() - t0
-            # bit-identity first: the timing means nothing otherwise
-            assert windowed.slots == slot.slots
-            assert windowed.adversary_spend == slot.adversary_spend
-            assert (windowed.node_energy == slot.node_energy).all()
-            assert (windowed.informed_slot == slot.informed_slot).all()
-            assert (windowed.halt_slot == slot.halt_slot).all()
-            row.update(
-                window_s=round(window_s, 3),
-                speedup=round(slot_s / window_s, 2),
-                slots_per_s_window=round(windowed.slots / window_s),
-            )
-        rungs[f"latency_{latency}"] = row
     return rungs
 
 
 def _record_ladder(bench_json, rungs, floor):
-    """Route each windowed rung through the unified speedup schema; the L=0
-    fallback rung (no windowed timing) stays a plain shape record."""
-    recorded = {}
-    for name, row in rungs.items():
-        if "window_s" in row:
-            recorded[name] = bench_json.record_speedup(
-                name,
-                baseline_s=row["slot_s"],
-                fast_s=row["window_s"],
-                floor=floor,
-                slots=row["slots"],
-                slots_per_s_slot=row["slots_per_s_slot"],
-                slots_per_s_window=row["slots_per_s_window"],
-            )
-        else:
-            bench_json.record(**{name: row})
-    return recorded
+    """Route every rung through the unified speedup schema."""
+    return {
+        name: bench_json.record_speedup(
+            name,
+            baseline_s=row["slot_s"],
+            fast_s=row["window_s"],
+            floor=floor,
+            slots=row["slots"],
+            slots_per_s_slot=round(row["slots"] / row["slot_s"]),
+            slots_per_s_window=round(row["slots"] / row["window_s"]),
+        )
+        for name, row in rungs.items()
+    }
 
 
 @pytest.mark.benchmark(group="EXP-ARENA-WINDOW")
@@ -127,9 +106,7 @@ def test_window_ladder_multicast_c(benchmark, bench_json):
     print(
         f"\n  [EXP-ARENA-WINDOW] multicast_c (n={n}, C=4) ladder: "
         + ", ".join(
-            f"L={k.split('_')[1]}: {recorded[k]['speedup']}x"
-            if k in recorded else f"L={k.split('_')[1]}: slot-only"
-            for k in rungs
+            f"L={k.split('_')[1]}: {row['speedup']}x" for k, row in recorded.items()
         )
     )
     # the >= 10x acceptance is pinned by the committed full-scale JSON; this
@@ -158,9 +135,7 @@ def test_window_ladder_multicast(benchmark, bench_json):
     print(
         f"\n  [EXP-ARENA-WINDOW] multicast (n={n}) ladder: "
         + ", ".join(
-            f"L={k.split('_')[1]}: {recorded[k]['speedup']}x"
-            if k in recorded else f"L={k.split('_')[1]}: slot-only"
-            for k in rungs
+            f"L={k.split('_')[1]}: {row['speedup']}x" for k, row in recorded.items()
         )
     )
     for name, row in recorded.items():

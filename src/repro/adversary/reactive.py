@@ -32,11 +32,12 @@ can be probed empirically:
 
 Adaptivity cannot be expressed through the oblivious block API (the engine
 never shows Eve node behaviour — by design), so reactive jammers run on the
-slot-stepped runtimes: :class:`repro.sim.node.ScalarNetwork` (``adversary``
-may be reactive; the readable reference) and the vectorized arena of
-:mod:`repro.arena` (the fast path — benchmarked against the scalar loop in
-``benchmarks/bench_arena.py``, with campaign wiring via
-:mod:`repro.exp.registry` and ``python -m repro arena``).
+sensing runtimes: :class:`repro.sim.node.ScalarNetwork` (``adversary`` may
+be reactive; the readable reference) and the vectorized arena of
+:mod:`repro.arena` (the fast path, window-stepped for every jammer here —
+benchmarked against the scalar loop in ``benchmarks/bench_arena.py``, with
+campaign wiring via :mod:`repro.exp.registry` and ``python -m repro
+arena``).
 """
 
 from __future__ import annotations
@@ -99,13 +100,14 @@ class ReactiveJammer(ABC):
         """Sensing latency in slots, or ``None`` when the jammer cannot be
         window-stepped.
 
-        A value ``L >= 1`` promises that :meth:`react` depends only on busy
-        masks at least ``L`` slots old, so the windowed arena driver
+        A value ``L >= 0`` promises that :meth:`react` depends only on the
+        busy mask of slot ``t - L``, so the windowed arena driver
         (:mod:`repro.arena.window`) may resolve whole blocks of slots and
-        query :meth:`jam_window` with externally-reconstructed targets.
-        ``L == 0`` (within-slot sensing) forces slot stepping; ``None``
-        (the base default) marks a strategy whose sensing the driver cannot
-        reconstruct, which also forces slot stepping."""
+        query :meth:`jam_window` with externally-reconstructed targets —
+        busy masks never depend on jamming, so even ``L == 0`` (within-slot
+        sensing) targets are known before Eve answers.  ``None`` (the base
+        default) marks a strategy whose sensing the driver cannot
+        reconstruct, which forces slot stepping."""
         return None
 
     def checkpoint(self):
@@ -216,7 +218,9 @@ class SniperJammer(ReactiveJammer):
 
     @property
     def window_latency(self) -> Optional[int]:
-        return 0  # within-slot sensing: slot stepping is the only sound mode
+        """0: within-slot sensing — each slot's target is its own busy mask,
+        which the windowed driver computes before Eve answers."""
+        return 0
 
     def react(self, slot: int, busy: np.ndarray) -> np.ndarray:
         return _jam_k_of(self.rng, busy, busy, self.k)

@@ -13,11 +13,14 @@ Two execution backends share that entry point (``backend=``):
 * ``"slot"`` — the original per-slot loop over :class:`ArenaNetwork`: one
   adversary query and one single-slot kernel pass per slot.  The oracle.
 * ``"window"`` — the block-stepped driver of :mod:`repro.arena.window`:
-  sound whenever the adversary senses with latency >= 1 (or there is no
-  adversary), bit-identical to ``"slot"`` and ~an order of magnitude
-  faster.  ``"auto"`` (the default) picks it exactly then; a reactive
-  jammer that *requires* slot stepping (within-slot sensing, or no window
-  interface) falls back with a once-per-campaign
+  sound whenever there is no adversary or a reactive one advertising a
+  sensing latency (``window_latency >= 0``, within-slot sensing included),
+  bit-identical to ``"slot"`` and ~an order of magnitude faster.
+  ``"auto"`` (the default) picks it exactly then
+  (:func:`~repro.arena.window.windowable_adversary` decides); a reactive
+  jammer without the window interface (``window_latency`` ``None``, e.g. a
+  user-defined :class:`~repro.adversary.reactive.ReactiveJammer` subclass)
+  falls back with a once-per-campaign
   :class:`~repro.core.batch.FallbackNotes` entry.
 
 :func:`run_broadcast_windowed_batch` is the lane-batched form behind
@@ -38,6 +41,7 @@ from repro.arena.columns import (
     NaiveColumns,
 )
 from repro.arena.network import ArenaNetwork
+from repro.arena.window import WINDOW_CAP, run_windowed, windowable_adversary
 from repro.baselines.decay import DecayBroadcast
 from repro.baselines.naive import NaiveEpidemic
 from repro.core.limited import MultiCastC
@@ -86,11 +90,11 @@ def lift_protocol(protocol, n: int, seed: int) -> ColumnProtocol:
     )
 
 
-def _note_slot_fallback(adversary, latency) -> None:
+def _note_slot_fallback(adversary) -> None:
     """Record (once per campaign, via the active collector) that a reactive
-    adversary forced slot stepping — mirrors ``run_broadcast_batch``'s
-    scalar-fallback notes, so ``repro sweep`` surfaces the backend choice
-    instead of silently running 10x slower."""
+    adversary without the window interface forced slot stepping — mirrors
+    ``run_broadcast_batch``'s scalar-fallback notes, so ``repro sweep``
+    surfaces the backend choice instead of silently running 10x slower."""
     from repro.core import batch as _batch
     from repro.obs.recorder import active as _obs_active
 
@@ -99,12 +103,11 @@ def _note_slot_fallback(adversary, latency) -> None:
         tel.count("arena.slot_fallbacks")
     if _batch._FALLBACK_NOTES is None:
         return
-    if latency == 0:
-        reason = "senses within its own slot (latency 0) — windowing unsound"
-    else:
-        reason = "has no window-sensing interface"
     _batch._FALLBACK_NOTES.add(
-        f"arena[{type(adversary).__name__}]", reason, 1
+        f"arena[{type(adversary).__name__}]",
+        "has no window-sensing interface",
+        1,
+        path=_batch.ARENA_SLOT_PATH,
     )
 
 
@@ -130,30 +133,24 @@ def run_broadcast_adaptive(
     ``backend`` selects the execution path (see the module docstring):
     ``"auto"`` window-steps whenever that is sound, ``"slot"`` forces the
     per-slot oracle, ``"window"`` demands window stepping and raises when
-    the adversary cannot be window-stepped (oblivious jammers and latency-0
-    reactive jammers).  Either way ``extras["backend"]`` records the path
-    actually taken.  ``window_cap`` overrides the windowed driver's
-    speculative width ceiling (tests sweep it; leave ``None`` for the
-    default).
+    the adversary cannot be window-stepped (oblivious jammers and reactive
+    jammers without the window interface).  Either way ``extras["backend"]``
+    records the path actually taken.  ``window_cap`` overrides the windowed
+    driver's speculative width ceiling (tests sweep it; leave ``None`` for
+    the default).
     """
     if backend not in ("auto", "slot", "window"):
         raise ValueError(f"unknown arena backend {backend!r}")
     columns = lift_protocol(protocol, n, seed)
-    reactive = adversary is not None and hasattr(adversary, "jam_slot")
-    latency = getattr(adversary, "window_latency", None)
-    windowable = columns.supports_windows and (
-        adversary is None or (reactive and latency is not None and latency >= 1)
-    )
+    windowable = columns.supports_windows and windowable_adversary(adversary)
     if backend == "window" and not windowable:
         raise ValueError(
             "backend='window' needs a window-capable adapter and either no "
-            "adversary or a reactive jammer with window_latency >= 1"
+            "adversary or a reactive jammer with a window_latency"
         )
     if backend == "auto" and windowable:
         backend = "window"
     if backend == "window":
-        from repro.arena.window import WINDOW_CAP, run_windowed
-
         result = run_windowed(
             [columns],
             [adversary],
@@ -162,8 +159,8 @@ def run_broadcast_adaptive(
         )[0]
         result.extras["backend"] = "arena-window"
         return result
-    if reactive and not windowable:
-        _note_slot_fallback(adversary, latency)
+    if hasattr(adversary, "jam_slot") and not windowable:
+        _note_slot_fallback(adversary)
     if adversary is not None:
         adversary.reset()
     net = ArenaNetwork(n, adversary, max_slots=max_slots)
@@ -205,13 +202,11 @@ def run_broadcast_windowed_batch(
     ``run_broadcast_adaptive(protocol, n, adversaries[b], seed=seeds[b])``
     — same trial seeds, same draws, same books — so batched campaigns match
     scalar ones byte for byte.  Every adversary must pass
-    :func:`repro.arena.window.windowable_adversary` (callers route latency-0
+    :func:`repro.arena.window.windowable_adversary` (callers route the other
     lanes to the slot path instead).
     """
     if len(adversaries) != len(seeds):
         raise ValueError("need one adversary entry per seed")
-    from repro.arena.window import run_windowed
-
     columns = [lift_protocol(protocol, n, seed) for seed in seeds]
     results = run_windowed(columns, list(adversaries), max_slots=max_slots)
     for result in results:

@@ -1,17 +1,18 @@
 """Block-stepped (windowed) arena driver: reactive runs at block-engine speed.
 
 The slot-stepped arena pays one adversary query and one single-slot kernel
-pass per slot because a reactive Eve *could* depend on the current slot.  A
-latency-``L`` jammer (``L >= 1``) cannot: her view of slot ``t`` is the busy
-mask of slot ``t - L``.  Two facts then make whole windows resolvable in one
-batched pass, far beyond ``L`` slots at a time:
+pass per slot, as if a reactive Eve's answer for slot ``t`` could feed back
+into who transmits in slot ``t``.  It cannot: a latency-``L`` jammer
+(``L >= 0``) decides slot ``t`` from the busy mask of slot ``t - L``, and
+two facts then make whole windows resolvable in one batched pass:
 
 1. **Busy masks don't depend on jamming.**  ``busy[t]`` is derived from the
    nodes' channel/action columns alone; jamming corrupts *feedback*, never
    presence.  So for a window whose actions are fixed, every row's busy mask
    — and hence every jam target, via the committed-history ring for the
    first ``L`` rows and in-window rows after that — is known *before* Eve
-   answers a single slot.
+   answers a single slot.  At ``L = 0`` (within-slot sensing, the sniper)
+   there is no ring at all: every row targets its own busy mask.
 2. **Actions change rarely and detectably.**  Node actions are precomputed
    from status-independent draws (the ``PeriodDraws`` discipline) and only
    change at informing events (at most ``n - 1`` per run) and schedule
@@ -79,14 +80,20 @@ WINDOW_MIN = 64
 
 def windowable_adversary(adversary) -> bool:
     """True when the windowed driver can host ``adversary``: no jamming at
-    all, or a reactive jammer advertising sensing latency >= 1
+    all, or a reactive jammer advertising a sensing latency >= 0
     (:attr:`~repro.adversary.reactive.ReactiveJammer.window_latency`).
-    Within-slot sensing (latency 0) and strategies without the window
-    interface need the slot-stepped oracle."""
+
+    The single windowability rule: ``run_broadcast_adaptive``'s ``auto``
+    routing, ``run_broadcast_batch``'s all-reactive routing and
+    :func:`run_windowed`'s validation all ask it.  Oblivious jammers and
+    reactive strategies without the window interface (``window_latency``
+    ``None``) need the slot-stepped loop."""
     if adversary is None:
         return True
+    if not hasattr(adversary, "jam_slot"):
+        return False
     latency = getattr(adversary, "window_latency", None)
-    return latency is not None and latency >= 1
+    return latency is not None and latency >= 0
 
 
 def run_windowed(
@@ -121,7 +128,7 @@ def run_windowed(
             raise ValueError(f"{type(cols).__name__} has no window interface")
         if not windowable_adversary(adv):
             raise ValueError(
-                "adversary cannot be window-stepped (latency 0 or no window "
+                "adversary cannot be window-stepped (oblivious, or no window "
                 "interface) — use the slot-stepped path"
             )
         if adv is not None:
@@ -129,8 +136,9 @@ def run_windowed(
     lanes = ArenaLanes(n, adversaries, max_slots=max_slots)
     latency = [0 if a is None else int(a.window_latency) for a in adversaries]
     # per-lane ring of the last L committed (C, busy_row) pairs — the
-    # driver-side stand-in for the jammers' internal sensing history
-    rings = [deque(maxlen=latency[b]) if latency[b] else None for b in range(B)]
+    # driver-side stand-in for the jammers' internal sensing history (empty
+    # at L = 0: within-slot sensing reads only in-window rows)
+    rings = [deque(maxlen=L) for L in latency]
     cap = int(window_cap)
     want = [min(WINDOW_MIN, cap)] * B  # adaptive per-lane speculative width
     any_beacons = any(cols.emits_beacons for cols in columns)
@@ -268,10 +276,9 @@ def run_windowed(
                 A,
             )
             ring = rings[b]
-            if ring is not None:
-                lane_busy = busy[off:off + W, :C]
-                for t in range(max(0, A - latency[b]), A):
-                    ring.append((C, lane_busy[t].copy()))
+            lane_busy = busy[off:off + W, :C]
+            for t in range(max(0, A - latency[b]), A):
+                ring.append((C, lane_busy[t].copy()))
             off += W
             if not cols.done:
                 next_live.append(b)

@@ -596,9 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("auto", "slot", "window"),
         default="auto",
-        help="arena execution path: auto window-steps latency >= 1 jammers "
-        "(bit-identical, ~10x faster), slot forces the per-slot oracle, "
-        "window refuses jammers that need slot stepping",
+        help="arena execution path: auto window-steps every jammer with a "
+        "sensing latency, within-slot sniper included (bit-identical, ~10x "
+        "faster), slot forces the per-slot oracle, window refuses jammers "
+        "that need slot stepping",
     )
     p_ar.set_defaults(fn=cmd_arena)
 

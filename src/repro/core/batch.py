@@ -694,35 +694,57 @@ def run_iterations_stream(
     return list(stream.results)
 
 
+#: The execution paths a fallback note can name: what its lanes actually ran.
+SCALAR_PATH = "the scalar fallback"
+ARENA_SLOT_PATH = "the slot-stepped arena"
+
+
+def _fallback_line(name: str, reason: str, lanes: int, path: str, passes=None) -> str:
+    """One fallback warning line; ``passes`` is omitted for per-call lines."""
+    where = f"{lanes} lane(s)"
+    if passes is not None:
+        where += f" in {passes} kernel pass(es)"
+    return f"fallback: {name} {reason} — {where} ran on {path}"
+
+
 class FallbackNotes:
-    """Campaign-scoped tally of scalar-fallback lanes, keyed by cause.
+    """Campaign-scoped tally of fallback lanes, keyed by cause.
 
     A long campaign can push thousands of lane blocks through
     :func:`run_broadcast_batch`; if its protocol cannot batch, a per-call
     stderr line turns the log into noise (once per kernel pass, not once per
     campaign).  Inside a :func:`collect_fallback_notes` scope the calls
     stay silent and the notes accumulate here; the campaign runner emits one
-    summary line per (protocol, reason) at the end.  Counts survive process
-    boundaries as plain dicts (:meth:`snapshot` / :meth:`merge`), which is
-    how sharded workers report theirs back to the parent.
+    summary line per (protocol, reason) at the end, naming the path the
+    lanes took (:data:`SCALAR_PATH` or :data:`ARENA_SLOT_PATH`).  Counts
+    survive process boundaries as plain dicts (:meth:`snapshot` /
+    :meth:`merge`), which is how sharded workers report theirs back to the
+    parent.
     """
 
     def __init__(self):
         #: (protocol name, reason) -> [lanes, kernel passes]
         self.counts: Dict[Tuple[str, str], List[int]] = {}
+        #: (protocol name, reason) -> the execution path those lanes ran
+        self.paths: Dict[Tuple[str, str], str] = {}
 
-    def add(self, name: str, reason: str, lanes: int, passes: int = 1) -> None:
+    def add(
+        self, name: str, reason: str, lanes: int, passes: int = 1,
+        path: str = SCALAR_PATH,
+    ) -> None:
         entry = self.counts.setdefault((name, reason), [0, 0])
         entry[0] += lanes
         entry[1] += passes
+        self.paths[(name, reason)] = path
 
-    def snapshot(self) -> Dict[Tuple[str, str], List[int]]:
-        """A picklable copy of the tally (worker -> parent transport)."""
-        return {key: list(value) for key, value in self.counts.items()}
+    def snapshot(self) -> Dict[Tuple[str, str], list]:
+        """A picklable copy of the tally (worker -> parent transport):
+        ``(name, reason) -> [lanes, passes, path]``."""
+        return {key: [*value, self.paths[key]] for key, value in self.counts.items()}
 
-    def merge(self, counts: Dict[Tuple[str, str], List[int]]) -> None:
-        for (name, reason), (lanes, passes) in counts.items():
-            self.add(name, reason, lanes, passes)
+    def merge(self, counts: Dict[Tuple[str, str], list]) -> None:
+        for (name, reason), (lanes, passes, path) in counts.items():
+            self.add(name, reason, lanes, passes, path)
 
     def __bool__(self) -> bool:
         return bool(self.counts)
@@ -730,8 +752,7 @@ class FallbackNotes:
     def summary_lines(self) -> List[str]:
         """One line per cause, in first-seen order."""
         return [
-            f"run_broadcast_batch: {name} {reason} — {lanes} lane(s) in "
-            f"{passes} kernel pass(es) ran on the scalar fallback"
+            _fallback_line(name, reason, lanes, self.paths[(name, reason)], passes)
             for (name, reason), (lanes, passes) in self.counts.items()
         ]
 
@@ -746,7 +767,7 @@ _FALLBACK_NOTES: Optional[FallbackNotes] = None
 
 @contextmanager
 def collect_fallback_notes():
-    """Collect scalar-fallback warnings instead of printing them per call.
+    """Collect fallback warnings instead of printing them per call.
 
     Yields the :class:`FallbackNotes`; nests by shadowing (the innermost
     scope collects).  The campaign runner wraps each run in one of these and
@@ -770,11 +791,7 @@ def _note_fallback(protocol, reason: str, lanes: int) -> None:
     if _FALLBACK_NOTES is not None:
         _FALLBACK_NOTES.add(name, reason, lanes)
     else:
-        print(
-            f"run_broadcast_batch: {name} {reason} — "
-            f"{lanes} lane(s) ran on the scalar fallback",
-            file=sys.stderr,
-        )
+        print(_fallback_line(name, reason, lanes, SCALAR_PATH), file=sys.stderr)
     tel = _obs_active()
     if tel is not None:
         tel.count("batch.fallback_lanes", lanes)
@@ -851,13 +868,13 @@ def run_broadcast_batch(
         result.extras["backend"] = "scalar-fallback"
         _note_fallback(protocol, "trace= forces the scalar path", 1)
         return [result]
-    if adversaries and all(
-        adversary is not None
-        and hasattr(adversary, "jam_slot")
-        and (getattr(adversary, "window_latency", None) or 0) >= 1
+    from repro.arena.window import windowable_adversary
+
+    if all(
+        adversary is not None and windowable_adversary(adversary)
         for adversary in adversaries
     ):
-        # an all-reactive batch whose every jammer senses with latency >= 1:
+        # an all-reactive batch whose every jammer has the window interface:
         # the arena's windowed lane driver hosts the whole batch in lockstep
         # (bit-identical to the per-lane arena dispatch below, ~10x faster)
         from repro.arena.run import run_broadcast_windowed_batch, supports_protocol

@@ -259,10 +259,10 @@ def sec_arena(bundle: RecordBundle) -> str:
     )
 
 
-#: Ladder order for the windowed-arena campaign: the latency-0 negative
-#: control plus every window-steppable rung.
+#: Ladder order for the windowed-arena campaign: within-slot sensing first,
+#: then the stale-view rungs — every cell window-steps.
 _ARENA_WINDOWED_LADDER = (
-    ("sniper", "0 (in-slot)", "slot (fallback)"),
+    ("sniper", "0 (in-slot)", "windowed"),
     ("trailing", "1", "windowed"),
     ("reactive:1", "1", "windowed"),
     ("reactive:2", "2", "windowed"),
@@ -302,7 +302,7 @@ def sec_arena_windowed(bundle: RecordBundle) -> str:
             rungs = bench["results"][key]["speedups"]
             speedups = ", ".join(
                 f"L={latency} {rungs[f'latency_{latency}']['speedup']:.1f}x"
-                for latency in (1, 2, 4, 8)
+                for latency in (0, 1, 2, 4, 8)
             )
             ladders.append(f"{label}: {speedups}")
     except KeyError as exc:

@@ -1,20 +1,21 @@
 """Differential equivalence: the windowed arena vs the slot-stepped oracle.
 
 The block-stepped driver (:mod:`repro.arena.window`) promises *bit-identity*
-with the per-slot arena for every latency >= 1 reactive jammer — same slots,
-same informing/halt books, same energy, same adversary spend, draw for draw.
+with the per-slot arena for every reactive jammer with a sensing latency
+(``window_latency >= 0``, within-slot sensing included) — same slots, same
+informing/halt books, same energy, same adversary spend, draw for draw.
 This suite pins that promise:
 
 * the full adapter x jammer matrix (every column adapter, every reactive
-  registry jammer that can be window-stepped, plus the unjammed control);
+  registry jammer, plus the unjammed control);
 * truncation (``max_slots``) and overrun parity;
-* a hypothesis property over random window caps — window placement must
-  never be observable;
+* a hypothesis property over random window caps and latencies from 0 —
+  window placement must never be observable;
 * the lane-batched entry point against per-lane slot runs;
 * backend dispatch: ``auto`` routing, ``backend="window"`` validation, the
   ``extras["backend"]`` stamp, and the once-per-campaign
-  :class:`~repro.core.batch.FallbackNotes` entry when a latency-0 jammer
-  forces slot stepping.
+  :class:`~repro.core.batch.FallbackNotes` entry when a jammer without the
+  window interface forces slot stepping.
 """
 
 import numpy as np
@@ -38,11 +39,14 @@ from repro.exp.registry import build_jammer, build_protocol
 N = 16
 BUDGET = 4_000
 
-#: Window-steppable jammer factories (latency >= 1) plus the unjammed
-#: control; ``sniper`` / ``reactive:0`` are latency 0 and appear only in the
-#: dispatch tests below.
+#: Reactive jammer factories, latency 0 included, plus the unjammed control.
+#: The sniper's budget of 19 runs out mid-window under every adapter (under
+#: ``adv`` the last affordable slot is clipped part-way), so the matrix also
+#: pins budget exhaustion inside a speculative window.
 JAMMERS = {
     "none": lambda: None,
+    "sniper": lambda: SniperJammer(19, k=4, seed=9),
+    "reactive:0": lambda: ReactiveLatencyJammer(BUDGET, latency=0, k=2, seed=9),
     "trailing": lambda: TrailingJammer(BUDGET, k=4, seed=9),
     "reactive:1": lambda: ReactiveLatencyJammer(BUDGET, latency=1, k=2, seed=9),
     "reactive:2": lambda: ReactiveLatencyJammer(BUDGET, latency=2, k=2, seed=9),
@@ -116,7 +120,7 @@ def assert_identical(windowed, slot, context=""):
 @pytest.mark.parametrize("jammer_key", sorted(JAMMERS))
 @pytest.mark.parametrize("key", sorted(PROTOCOLS))
 def test_bit_identity_matrix(key, jammer_key):
-    """Every adapter x every window-steppable jammer: windowed == slot."""
+    """Every adapter x every reactive jammer: windowed == slot."""
     windowed, slot = run_pair(key, jammer_key)
     assert_identical(windowed, slot, f"{key}/{jammer_key}")
 
@@ -141,7 +145,7 @@ def test_truncation_parity():
 @settings(max_examples=20, deadline=None)
 @given(
     cap=st.integers(min_value=1, max_value=300),
-    latency=st.integers(min_value=1, max_value=6),
+    latency=st.integers(min_value=0, max_value=6),
     seed=st.integers(min_value=0, max_value=50),
 )
 def test_window_boundaries_unobservable(cap, latency, seed):
@@ -164,7 +168,7 @@ def test_lane_batch_matches_single_runs():
     slot-stepped runs (mixed jammers, mixed seeds, staggered finishes)."""
     lanes = [
         ("trailing", 11), ("reactive:1", 12), ("reactive:2", 13),
-        ("reactive:4", 14), ("reactive:2", 15),
+        ("reactive:4", 14), ("reactive:2", 15), ("reactive:0", 16),
     ]
     batch = run_broadcast_windowed_batch(
         build_protocol("multicast", N),
@@ -180,15 +184,26 @@ def test_lane_batch_matches_single_runs():
         assert_identical(windowed, slot, f"lane {jammer_key}/{seed}")
 
 
+class WindowlessSniper(SniperJammer):
+    """The sniper's strategy without the window interface — stands in for a
+    user-defined :class:`~repro.adversary.reactive.ReactiveJammer` whose
+    sensing the windowed driver cannot reconstruct."""
+
+    @property
+    def window_latency(self):
+        return None
+
+
 class TestDispatch:
     def test_windowable_predicate(self):
         assert windowable_adversary(None)
         assert windowable_adversary(TrailingJammer(100, k=1, seed=0))
         assert windowable_adversary(ReactiveLatencyJammer(100, latency=1, k=1, seed=0))
-        assert not windowable_adversary(SniperJammer(100, k=1, seed=0))
-        assert not windowable_adversary(
+        assert windowable_adversary(SniperJammer(100, k=1, seed=0))
+        assert windowable_adversary(
             ReactiveLatencyJammer(100, latency=0, k=1, seed=0)
         )
+        assert not windowable_adversary(WindowlessSniper(100, k=1, seed=0))
         assert not windowable_adversary(build_jammer("random", 100, 0))
 
     def test_auto_prefers_window(self):
@@ -198,19 +213,19 @@ class TestDispatch:
         )
         assert result.extras["backend"] == "arena-window"
 
-    def test_auto_falls_back_for_latency_zero(self):
+    def test_auto_windows_latency_zero(self):
         result = run_broadcast_adaptive(
             build_protocol("multicast", N), N,
             SniperJammer(BUDGET, k=4, seed=9), seed=2,
         )
-        assert result.extras["backend"] == "arena-slot"
+        assert result.extras["backend"] == "arena-window"
 
-    def test_forced_window_rejects_latency_zero(self):
-        with pytest.raises(ValueError, match="window"):
-            run_broadcast_adaptive(
-                build_protocol("multicast", N), N,
-                SniperJammer(BUDGET, k=4, seed=9), seed=2, backend="window",
-            )
+    def test_forced_window_accepts_latency_zero(self):
+        result = run_broadcast_adaptive(
+            build_protocol("multicast", N), N,
+            SniperJammer(BUDGET, k=4, seed=9), seed=2, backend="window",
+        )
+        assert result.extras["backend"] == "arena-window"
 
     def test_forced_window_rejects_oblivious(self):
         with pytest.raises(ValueError, match="window"):
@@ -219,21 +234,34 @@ class TestDispatch:
                 build_jammer("random", BUDGET, 9), seed=2, backend="window",
             )
 
+    def test_forced_window_rejects_windowless_jammer(self):
+        with pytest.raises(ValueError, match="window"):
+            run_broadcast_adaptive(
+                build_protocol("multicast", N), N,
+                WindowlessSniper(BUDGET, k=4, seed=9), seed=2, backend="window",
+            )
+
     def test_fallback_note_records_forced_slot_stepping(self):
         with collect_fallback_notes() as notes:
-            run_broadcast_adaptive(
+            result = run_broadcast_adaptive(
                 build_protocol("multicast", N), N,
-                SniperJammer(BUDGET, k=4, seed=9), seed=2,
+                WindowlessSniper(BUDGET, k=4, seed=9), seed=2,
             )
-        assert notes, "latency-0 fallback should leave a note"
-        (name, reason), _ = next(iter(notes.counts.items()))
-        assert name == "arena[SniperJammer]"
-        assert "latency 0" in reason
+        assert result.extras["backend"] == "arena-slot"
+        assert notes.counts == {
+            ("arena[WindowlessSniper]", "has no window-sensing interface"): [1, 1]
+        }
+        (line,) = notes.summary_lines()
+        assert "slot-stepped arena" in line
+        assert "scalar" not in line
 
     def test_no_note_outside_collector_or_for_windowed(self):
-        with collect_fallback_notes() as notes:
-            run_broadcast_adaptive(
-                build_protocol("multicast", N), N,
-                ReactiveLatencyJammer(BUDGET, latency=2, k=2, seed=9), seed=2,
-            )
-        assert not notes, "windowed runs must not log fallback notes"
+        for adversary in (
+            ReactiveLatencyJammer(BUDGET, latency=2, k=2, seed=9),
+            SniperJammer(BUDGET, k=4, seed=9),
+        ):
+            with collect_fallback_notes() as notes:
+                run_broadcast_adaptive(
+                    build_protocol("multicast", N), N, adversary, seed=2,
+                )
+            assert not notes, "windowed runs must not log fallback notes"

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import MultiCast
 from repro.core.batch import (
+    ARENA_SLOT_PATH,
     FallbackNotes,
     collect_fallback_notes,
     run_broadcast_batch,
@@ -54,6 +55,20 @@ class TestFallbackNotes:
         lines = other.summary_lines()
         assert len(lines) == 2
         assert "5 lane(s) in 3 kernel pass(es)" in lines[0]
+
+    def test_each_line_names_the_path_taken(self):
+        notes = FallbackNotes()
+        notes.add("MultiCast", "has no run_batch", 2)
+        notes.add(
+            "arena[Custom]", "has no window-sensing interface", 1,
+            path=ARENA_SLOT_PATH,
+        )
+        merged = FallbackNotes()  # the path survives the worker transport
+        merged.merge(notes.snapshot())
+        scalar_line, arena_line = merged.summary_lines()
+        assert "ran on the scalar fallback" in scalar_line
+        assert "ran on the slot-stepped arena" in arena_line
+        assert "scalar" not in arena_line
 
     def test_uncollected_call_still_warns_per_call(self, batchless_multicast, capsys):
         for seed in (0, 1):

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.core import MultiCast
 from repro.exp import CampaignSpec, ResultStore, run_campaign
 from repro.exp.pool import ZERO_WALL_ENV
 from repro.obs.recorder import active, telemetry_path
@@ -85,19 +86,25 @@ def test_sharded_telemetry_merges_worker_events(tmp_path):
     assert glob.glob(f"{on}.telemetry.shard-*") == []
 
 
-def test_fallback_notes_appear_exactly_once_in_merged_telemetry(tmp_path):
-    # "sniper" senses within its own slot (latency 0): every trial forces
-    # the arena's slot fallback, which FallbackNotes tallies campaign-wide
-    spec = campaign(["sniper"])
+def test_fallback_notes_appear_exactly_once_in_merged_telemetry(
+    tmp_path, monkeypatch
+):
+    # MultiCast with both lane kernels hidden: every lane in every worker
+    # runs the scalar fallback (forked workers inherit the patch), which
+    # FallbackNotes tallies campaign-wide
+    monkeypatch.delattr(MultiCast, "run_batch")
+    monkeypatch.delattr(MultiCast, "run_stream")
+    spec = campaign(["blanket"])
     on = run(tmp_path, "notes", spec, workers=3, telemetry=True)
     rows = [json.loads(line) for line in open(telemetry_path(on))]
     note_events = [r for r in rows if r["event"] == "fallback_notes"]
     assert len(note_events) == 1
-    notes = note_events[0]["notes"]
-    assert any("latency 0" in n["reason"] for n in notes)
-    # the slot-fallback counter made it into the parent summary too
+    (note,) = note_events[0]["notes"]
+    assert note["reason"] == "has no run_batch"
+    assert note["lanes"] == len(spec)
+    # the fallback-lane counter made it into the parent summary too
     (summary,) = [r for r in rows if r["event"] == "summary"]
-    assert summary["counters"].get("arena.slot_fallbacks", 0) >= len(spec)
+    assert summary["counters"].get("batch.fallback_lanes", 0) == len(spec)
 
 
 def test_windowed_arena_counters_reach_the_summary(tmp_path):
