@@ -234,24 +234,32 @@ class ScalarMultiCastAdvNode(NodeProtocol):
         self.n_m = self.n_mb = self.n_n = self.n_s = 0
         self.halt_slot: Optional[int] = None
         self.informed_slot: Optional[int] = 0 if is_source else None
+        self._enter_phase()
 
     # -- helpers -------------------------------------------------------------
     @property
     def j(self) -> int:
         return self.phase_seq[self.phase_idx]
 
+    def _enter_phase(self) -> None:
+        """Fix the current (i, j)-phase's per-slot constants: step length
+        ``R``, participation probability ``p`` and channel count ``C``."""
+        self.R = self.proto.phase_length(self.i, self.j)
+        self.p = self.proto.participation_prob(self.i, self.j)
+        self.C = self.proto.phase_channels(self.j)
+
     @property
     def halted(self) -> bool:
         return self.status == self.HALT
 
     def current_channels(self) -> int:
-        return self.proto.phase_channels(self.j)
+        return self.C
 
     def begin_slot(self, slot: int):
         if self.halted:
             return 0, ACT_IDLE
-        p = self.proto.participation_prob(self.i, self.j)
-        ch = int(self.rng.integers(0, self.proto.phase_channels(self.j)))
+        p = self.p
+        ch = int(self.rng.integers(0, self.C))
         coin = self.rng.random()
         if self.step == 1:
             if coin < p:
@@ -288,8 +296,7 @@ class ScalarMultiCastAdvNode(NodeProtocol):
 
     def _advance(self, slot: int) -> None:
         self.slot_in_step += 1
-        R = self.proto.phase_length(self.i, self.j)
-        if self.slot_in_step < R:
+        if self.slot_in_step < self.R:
             return
         self.slot_in_step = 0
         if self.step == 1:
@@ -331,6 +338,7 @@ class ScalarMultiCastAdvNode(NodeProtocol):
             self.i += 1
             self.phase_seq = list(self.proto.phases_of_epoch(self.i))
             self.phase_idx = 0
+        self._enter_phase()
 
 
 # -- scalar execution drivers ----------------------------------------------------

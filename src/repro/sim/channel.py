@@ -103,7 +103,7 @@ def resolve_block(
     Two code paths, same semantics (tests cross-check them):
 
     * **dense** (K*C small): one flat ``np.bincount`` per payload over a
-      (K, C) grid, then gather at listener positions — O(K·(n + C));
+      (K, C) grid, then classify only at listener positions — O(K·(n + C));
     * **sparse** (K*C large): outcomes are computed only at the <= K·n
       (slot, channel) keys actually touched by a non-idle node, with jamming
       answered by the JamBlock's binary search — O(K·n·log) independent of C.
@@ -153,36 +153,40 @@ def resolve_block(
 def _resolve_dense(
     channels: np.ndarray, actions: np.ndarray, jammed: np.ndarray
 ) -> np.ndarray:
-    """Dense-grid resolution (small K*C)."""
+    """Dense-grid resolution (small K*C).
+
+    Senders are counted on the flat ``(K, C)`` grid (one bincount per
+    payload), but the outcome rules run only at the cells listeners sit on —
+    only listeners get feedback — so no pass sweeps the whole grid.
+    """
     K, n = actions.shape
     C = jammed.shape[1]
+    feedback = np.full((K, n), FB_NONE, dtype=np.int8)
+    listen = actions == ACT_LISTEN
+    if not listen.any():
+        return feedback
     # Flat (slot, channel) index for every sender; one bincount per payload.
     row = np.arange(K, dtype=np.int64)[:, None]
     flat = row * C + channels  # (K, n); garbage for idle nodes, never used
 
     send_msg = actions == ACT_SEND_MSG
     send_beacon = actions == ACT_SEND_BEACON
-
-    msg_counts = np.bincount(flat[send_msg], minlength=K * C).reshape(K, C)
+    cells = flat[listen]  # listeners' cells, in the order feedback[listen] takes
+    msg = np.bincount(flat[send_msg], minlength=K * C)[cells]
     if send_beacon.any():
-        beacon_counts = np.bincount(flat[send_beacon], minlength=K * C).reshape(K, C)
+        beacon = np.bincount(flat[send_beacon], minlength=K * C)[cells]
+        total = msg + beacon
     else:
-        beacon_counts = np.zeros((K, C), dtype=np.int64)
+        beacon = None
+        total = msg
 
-    total = msg_counts + beacon_counts
-    noisy = jammed | (total >= 2)
-
-    # Per-(slot, channel) outcome grid.
-    grid = np.full((K, C), FB_SILENCE, dtype=np.int8)
-    grid[(total == 1) & (msg_counts == 1)] = FB_MSG
-    grid[(total == 1) & (beacon_counts == 1)] = FB_BEACON
-    grid[noisy] = FB_NOISE
-
-    feedback = np.full((K, n), FB_NONE, dtype=np.int8)
-    listen = actions == ACT_LISTEN
-    if listen.any():
-        rows, cols = np.nonzero(listen)
-        feedback[rows, cols] = grid[rows, channels[rows, cols]]
+    # Per-listener outcome: the grid rules, read at the listener's cell.
+    heard = np.full(cells.shape, FB_SILENCE, dtype=np.int8)
+    heard[(total == 1) & (msg == 1)] = FB_MSG
+    if beacon is not None:
+        heard[(total == 1) & (beacon == 1)] = FB_BEACON
+    heard[jammed.reshape(-1)[cells] | (total >= 2)] = FB_NOISE
+    feedback[listen] = heard
     return feedback
 
 

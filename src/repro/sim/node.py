@@ -29,6 +29,7 @@ from repro.sim.channel import (
     ACT_LISTEN,
     ACT_SEND_BEACON,
     ACT_SEND_MSG,
+    FB_NONE,
     resolve_slot,
 )
 from repro.sim.jam import JamBlock
@@ -94,32 +95,38 @@ class ScalarNetwork:
         Eve never sees node behaviour) and reactive jammers (the adaptive
         extension of :mod:`repro.adversary.reactive` — Eve senses which
         channels are busy *this slot* and reacts within it).
+
+        A slot in which no node listens is not resolved: feedback reaches
+        listeners only, so every entry is ``FB_NONE`` whatever the channels
+        carry.  The adversary is still queried (and charged) every slot.
         """
-        n = len(self.nodes)
-        channels = np.zeros(n, dtype=np.int64)
-        actions = np.zeros(n, dtype=np.int8)
-        for u, node in enumerate(self.nodes):
-            ch, act = node.begin_slot(self.clock)
-            channels[u] = ch
-            actions[u] = act
+        clock = self.clock
+        decisions = [node.begin_slot(clock) for node in self.nodes]
+        channels = np.array([ch for ch, _ in decisions], dtype=np.int64)
+        actions = np.array([act for _, act in decisions], dtype=np.int8)
+        listen = actions == ACT_LISTEN
+        sending = (actions == ACT_SEND_MSG) | (actions == ACT_SEND_BEACON)
         if self.adversary is None:
-            jam = np.zeros(num_channels, dtype=bool)
+            jam = None
         elif hasattr(self.adversary, "jam_slot"):
-            sending = (actions == ACT_SEND_MSG) | (actions == ACT_SEND_BEACON)
             busy = np.zeros(num_channels, dtype=bool)
             busy[channels[sending]] = True
-            jam = np.asarray(self.adversary.jam_slot(self.clock, busy), dtype=bool)
+            jam = np.asarray(self.adversary.jam_slot(clock, busy), dtype=bool)
+            self.energy.charge_adversary(int(jam.sum()))
         else:
-            block = JamBlock.coerce(self.adversary.jam_block(self.clock, 1, num_channels))
+            block = JamBlock.coerce(self.adversary.jam_block(clock, 1, num_channels))
             jam = block.to_dense()[0]
-        self.energy.charge_adversary(int(jam.sum()))
-        feedback = resolve_slot(channels, actions, jam)
-        listen = (actions == ACT_LISTEN).astype(np.int64)
-        send = ((actions == ACT_SEND_MSG) | (actions == ACT_SEND_BEACON)).astype(np.int64)
-        self.energy.charge_nodes(listen, send)
+            self.energy.charge_adversary(int(jam.sum()))
+        if listen.any():
+            if jam is None:
+                jam = np.zeros(num_channels, dtype=bool)
+            feedback = resolve_slot(channels, actions, jam)
+        else:
+            feedback = np.full(len(decisions), FB_NONE, dtype=np.int8)
+        self.energy.charge_nodes(listen.astype(np.int64), sending.astype(np.int64))
         self.energy.advance(1)
-        for u, node in enumerate(self.nodes):
-            node.end_slot(self.clock - 1, int(feedback[u]))
+        for node, fb in zip(self.nodes, feedback.tolist()):
+            node.end_slot(clock, fb)
         return feedback
 
     def run(self, num_channels, until_all_halted: bool = True) -> int:
