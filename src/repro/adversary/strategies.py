@@ -327,7 +327,7 @@ class SweepJammer(ObliviousJammer):
         base = (s // self.dwell) % num_channels
         cols = (base[:, None] + np.arange(w)[None, :]) % num_channels
         cols.sort(axis=1)  # wrap-around windows need re-sorting within a row
-        return JamBlock.from_rows(num_slots, num_channels, rows, list(cols))
+        return _uniform_rows_block(num_slots, num_channels, rows, cols.ravel())
 
 
 class RandomJammer(ObliviousJammer):

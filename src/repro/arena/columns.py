@@ -65,7 +65,7 @@ from repro.sim.channel import (
     FB_NOISE,
     FB_SILENCE,
 )
-from repro.sim.rng import RandomFabric
+from repro.sim.rng import RandomFabric, bounded_integers
 
 #: shared empty event list for the all-informed absorb short-circuit
 _NO_EVENTS = np.empty(0, dtype=np.int64)
@@ -219,10 +219,14 @@ class _SharedCoinColumns(ColumnProtocol):
         C = self.n // 2
         self._ch = np.zeros((self.n, k), dtype=np.int64)
         self._coin = np.zeros((self.n, k), dtype=np.int64)
-        for u in np.nonzero(~self.halted)[0]:
+        live = ~self.halted
+        for u in np.nonzero(live)[0]:
             rng = self.rngs[u]
-            self._ch[u] = rng.integers(0, C, size=k)
-            self._coin[u] = rng.integers(1, self.coin_high + 1, size=k)
+            bounded_integers(rng, C, self._ch[u])
+            # the reference's coin in [1, coin_high] is a draw in
+            # [0, coin_high) plus one — same words, same values
+            bounded_integers(rng, self.coin_high, self._coin[u])
+        np.add(self._coin, 1, out=self._coin, where=live[:, None])
         # Halted nodes keep all-zero coin rows, which map to idle below —
         # no per-slot liveness mask needed.
         act = np.zeros(self._coin.shape, dtype=np.int8)
@@ -809,7 +813,9 @@ class NaiveColumns(ColumnProtocol):
         # the block engine draws (K, n) channels + coins per block; the coins
         # are never consulted (p = 1) but the stream consumption is part of
         # the parity contract
-        self._channels = self.rng.integers(0, self.C, size=(self._K, self.n), dtype=np.int32)
+        self._channels = bounded_integers(
+            self.rng, self.C, np.empty((self._K, self.n), dtype=np.int32)
+        )
         self.rng.random((self._K, self.n))
         self._bt = 0
 
@@ -944,7 +950,9 @@ class MultiCastCColumns(ColumnProtocol):
 
     def _load_block(self) -> None:
         K = min(self.proto.block_slots, self._remaining)
-        self._vch = self.rng.integers(0, self.C_virt, size=(K, self.n), dtype=np.int32)
+        self._vch = bounded_integers(
+            self.rng, self.C_virt, np.empty((K, self.n), dtype=np.int32)
+        )
         self._vcoin = self.rng.random((K, self.n))
         # coin thresholds are fixed for the iteration: classify the whole
         # block once so window expansion touches bools, not floats

@@ -54,35 +54,12 @@ from repro.core.multicast_adv import (
     STATUS_UN,
     apply_phase_checks,
 )
+from repro.core.batch import _participants
 from repro.core.result import BroadcastResult
 from repro.sim.engine import BatchNetwork
 from repro.sim.jam import JamBlock
 
 __all__ = ["run_adv_batch", "run_adv_stream"]
-
-
-def _participants(coins: np.ndarray, channels: np.ndarray, active: np.ndarray,
-                  threshold: np.ndarray, offsets: np.ndarray,
-                  Cmax: int) -> Tuple[np.ndarray, ...]:
-    """Extract the ``(lane, row, node)`` triples whose coin clears the lane's
-    ``threshold`` (masked to active nodes) from a ragged lane-major block —
-    ``coins``/``channels`` are ``(T, n)`` with lane ``l`` owning rows
-    ``offsets[l]:offsets[l+1]`` — plus flat cell keys in the common key
-    space ``global_row * Cmax + channel`` (rows are globally disjoint, so
-    keys from lanes with different channel counts never collide)."""
-    T, n = coins.shape
-    L = offsets.size - 1
-    lane_of_row = np.repeat(np.arange(L, dtype=np.int64), np.diff(offsets))
-    hit = coins < threshold[lane_of_row][:, None]
-    if not active.all():
-        hit &= active[lane_of_row]
-    flat = np.flatnonzero(hit)
-    grow = flat // n  # global (concatenated) row
-    node = flat % n
-    lane = lane_of_row[grow]
-    row = grow - offsets[lane]  # lane-local row — scalar-stream position
-    cell = grow * np.int64(Cmax) + channels.ravel()[flat]
-    return flat, lane, row, node, cell
 
 
 def _member_keys(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:

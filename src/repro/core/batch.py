@@ -71,6 +71,47 @@ __all__ = [
 IterationSchedule = Callable[[int], Tuple[int, float, float]]
 
 
+def _participants(
+    coins: np.ndarray,
+    channels: np.ndarray,
+    active: np.ndarray,
+    threshold: np.ndarray,
+    offsets: np.ndarray,
+    Cmax: int,
+) -> Tuple[np.ndarray, ...]:
+    """Extract the ``(lane, row, node)`` triples whose coin clears the lane's
+    ``threshold``, halted nodes (``~active``) dropped, from a ragged
+    lane-major block: ``coins``/``channels`` are ``(T, n)`` with lane ``l``
+    owning rows ``offsets[l]:offsets[l+1]``.  Returns ``(flat, lane, row,
+    node, cell)`` in flat-index (lane, row, node) order, with ``row``
+    lane-local (the scalar-stream position) and ``cell`` a flat key in the
+    common space ``global_row * Cmax + channel`` (rows are globally
+    disjoint, so keys from lanes with different channel counts never
+    collide).
+
+    The compare is one scalar-threshold ``np.less`` per run of consecutive
+    lanes sharing a threshold — lanes at the same schedule point form one
+    run — and halted nodes are dropped from the sparse hits rather than
+    masked over the dense block."""
+    T, n = coins.shape
+    L = offsets.size - 1
+    hit = np.empty((T, n), dtype=bool)
+    cuts = np.flatnonzero(threshold[1:] != threshold[:-1]) + 1
+    firsts = np.concatenate(([0], cuts))
+    edges = offsets[np.concatenate((firsts, [L]))].tolist()
+    for a, b, thr in zip(edges[:-1], edges[1:], threshold[firsts].tolist()):
+        np.less(coins[a:b], thr, out=hit[a:b])
+    flat = np.flatnonzero(hit)
+    grow, node = np.divmod(flat, n)  # global (concatenated) row, node
+    lane = np.searchsorted(offsets, grow, side="right") - 1
+    if not active.all():
+        keep = active[lane, node]
+        flat, grow, node, lane = flat[keep], grow[keep], node[keep], lane[keep]
+    row = grow - offsets[lane]
+    cell = grow * np.int64(Cmax) + channels.ravel()[flat]
+    return flat, lane, row, node, cell
+
+
 def _shared_coin_ragged(
     channels: np.ndarray,
     coins: np.ndarray,
@@ -124,23 +165,14 @@ def _shared_coin_ragged(
     T, n = coins.shape
     L = offsets.size - 1
     lane_rows = np.diff(offsets)
-    lane_of_row = np.repeat(np.arange(L, dtype=np.int64), lane_rows)
     C = jam.C
-    thr = (2.0 * p)[lane_of_row][:, None]
-    if active.all():  # nobody has halted yet — the common early-run case
-        hit = coins < thr
-    else:
-        hit = (coins < thr) & active[lane_of_row]
     # One flat extraction pass; the raveled gathers below walk memory in
     # increasing order, which matters more than it looks at these sizes.
-    flat = np.flatnonzero(hit)
-    grow = flat // n  # global (concatenated) row
-    node = flat % n
-    lane = lane_of_row[grow]
-    row = grow - offsets[lane]  # lane-local row — scalar-stream position
+    flat, lane, row, node, cell = _participants(
+        coins, channels, active, 2.0 * p, offsets, C
+    )
     is_listen = coins.ravel()[flat] < p[lane]
     node_key = lane * n + node
-    cell = grow * np.int64(C) + channels.ravel()[flat]
     listen_counts = np.bincount(node_key[is_listen], minlength=L * n).reshape(L, n)
     # Jamming at listen cells, once for the whole block (binary search in the
     # stacked block's key space).

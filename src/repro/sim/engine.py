@@ -27,7 +27,7 @@ import numpy as np
 from repro.sim.channel import ACT_LISTEN, ACT_SEND_BEACON, ACT_SEND_MSG
 from repro.sim.jam import JamBlock
 from repro.sim.metrics import BatchEnergyLedger, EnergyLedger
-from repro.sim.rng import RandomFabric
+from repro.sim.rng import RandomFabric, bounded_integers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.adversary.base import Adversary
@@ -263,14 +263,16 @@ class BatchNetwork:
     def draw_channels(self, lane_ids: np.ndarray, block_slots: int, num_channels: int) -> np.ndarray:
         """Stacked per-lane channel draws: ``(len(lane_ids), K, n)`` int32.
 
-        Lane ``l``'s slice comes from lane ``l``'s own generator with the
-        same call a scalar protocol makes, so per-lane streams match the
-        scalar path exactly.
+        Lane ``l``'s slice comes from lane ``l``'s own generator, filled by
+        :func:`~repro.sim.rng.bounded_integers` with exactly the values (and
+        stream consumption) of the ``integers(0, C, size=(K, n),
+        dtype=int32)`` call a scalar protocol makes, so per-lane streams
+        match the scalar path exactly.
         """
         K = int(block_slots)
         out = np.empty((len(lane_ids), K, self.n), dtype=np.int32)
         for j, l in enumerate(lane_ids):
-            out[j] = self.rngs[l].integers(0, num_channels, size=(K, self.n), dtype=np.int32)
+            bounded_integers(self.rngs[l], num_channels, out[j])
         return out
 
     def draw_coins(self, lane_ids: np.ndarray, block_slots: int) -> np.ndarray:
@@ -437,7 +439,7 @@ class BatchNetwork:
         lane-major.  ``block_rows`` gives each listed lane its own row count
         (the ragged analogue of :meth:`draw_channels`); ``num_channels`` is a
         scalar or one channel count per lane.  Lane ``l``'s chunk comes from
-        lane ``l``'s own generator with the same call a scalar protocol makes.
+        lane ``l``'s own generator, drawn exactly as in :meth:`draw_channels`.
         """
         rows = np.asarray(block_rows, dtype=np.int64)
         Cs = np.broadcast_to(
@@ -446,9 +448,7 @@ class BatchNetwork:
         out = np.empty((int(rows.sum()), self.n), dtype=np.int32)
         pos = 0
         for l, K, C in zip(lane_ids, rows, Cs):
-            out[pos : pos + K] = self.rngs[l].integers(
-                0, int(C), size=(int(K), self.n), dtype=np.int32
-            )
+            bounded_integers(self.rngs[l], C, out[pos : pos + K])
             pos += int(K)
         return out
 

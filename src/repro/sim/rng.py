@@ -10,16 +10,67 @@ Streams are spawned from a single root :class:`numpy.random.SeedSequence`, so
   adversary model); and
 * trials can be spawned in parallel-safe fashion (SeedSequence spawning is
   collision-resistant by construction).
+
+:func:`bounded_integers` is the block engines' channel draw: the values and
+stream consumption of ``Generator.integers`` at a fraction of its cost when
+the bound is a power of two (DESIGN.md section 6.5).
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from typing import Iterable, List
 
 import numpy as np
 
-__all__ = ["RandomFabric", "derive_seed"]
+__all__ = ["RandomFabric", "bounded_integers", "derive_seed"]
+
+#: Output dtypes ``Generator.integers`` fills one 32-bit word per value for
+#: (bounds up to 2**31); narrower dtypes split words into 8/16-bit pieces.
+_WORD_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
+#: A uint32 view of raw outputs lists each low half first only on
+#: little-endian hosts, matching the order ``integers`` consumes them in.
+_LOW_HALF_FIRST = sys.byteorder == "little"
+
+
+def bounded_integers(rng: np.random.Generator, high: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` exactly as ``out[...] = rng.integers(0, high,
+    size=out.shape, dtype=out.dtype)`` would, and return it.
+
+    The generator ends in the same effective state as after that call.
+    ``integers`` takes one 32-bit word per value, the low half of each
+    PCG64 output first, and for ``high = 2**k`` Lemire's bounded-integer
+    method never rejects and returns the word's top ``k`` bits.  So when the
+    bound is such a power of two, the count is even, no half word is
+    buffered, the bit generator is PCG64 and the host little-endian, the
+    values are the raw outputs shifted right — one ``random_raw`` call and
+    one shift straight into ``out``.  Every other case (``high == 1`` included, which consumes
+    nothing) calls ``integers`` itself.
+
+    One difference stays invisible: the fast path leaves the generator's
+    ``uinteger`` field as it was, where ``integers`` would overwrite it.
+    Both leave ``has_uint32 == 0``, and numpy never reads ``uinteger`` then.
+    """
+    high = int(high)
+    k = high.bit_length() - 1
+    bg = rng.bit_generator
+    if (
+        2 <= high <= 2**31
+        and high == 1 << k
+        and out.size % 2 == 0
+        and out.dtype in _WORD_DTYPES
+        and type(bg) is np.random.PCG64
+        and _LOW_HALF_FIRST
+        and bg.state["has_uint32"] == 0
+    ):
+        words = bg.random_raw(out.size // 2).view(np.uint32).reshape(out.shape)
+        # shifting into a same-width unsigned view skips the ufunc's cast
+        target = out.view(np.uint32) if out.dtype == np.int32 else out
+        np.right_shift(words, 32 - k, out=target)
+    else:
+        out[...] = rng.integers(0, high, size=out.shape, dtype=out.dtype)
+    return out
 
 
 def derive_seed(root: int, *labels: object) -> int:

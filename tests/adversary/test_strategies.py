@@ -15,6 +15,7 @@ from repro.adversary import (
     ScheduleJammer,
     SweepJammer,
 )
+from repro.sim.jam import JamBlock
 
 
 def dense(adv, start, K, C):
@@ -151,6 +152,47 @@ class TestSweepJammer:
         adv = SweepJammer(budget=None, width=3, dwell=1)
         jam = dense(adv, 0, 7, 8)  # at slot 6 the window is {6, 7, 0}
         np.testing.assert_array_equal(np.nonzero(jam[6])[0], [0, 6, 7])
+
+    @staticmethod
+    def from_rows_block(adv, start, K, C):
+        """The per-row construction the vectorized block replaced: the same
+        sorted window rows, fed one array per row to ``JamBlock.from_rows``."""
+        w = min(adv.width, C)
+        rows = np.arange(K, dtype=np.int64)
+        if adv.remaining is not None:
+            rows = rows[: max(1, -(-int(adv.remaining) // w) + 1)]
+        base = ((start + rows) // adv.dwell) % C
+        cols = (base[:, None] + np.arange(w)[None, :]) % C
+        cols.sort(axis=1)
+        return JamBlock.from_rows(K, C, rows, list(cols))
+
+    @pytest.mark.parametrize(
+        "budget, width, dwell, start, K, C",
+        [
+            (None, 3, 1, 0, 20, 8),  # wrap-around windows
+            (None, 3, 1, 5, 11, 8),  # starts mid-rotation
+            (None, 2, 3, 7, 25, 5),  # dwell > 1
+            (None, 9, 1, 0, 6, 4),  # width >= C: every channel, every row
+            (None, 4, 1, 0, 5, 4),  # width == C
+            (10, 3, 2, 0, 40, 8),  # budget cap falls mid-row
+            (1, 5, 1, 0, 9, 16),  # cap of one entry
+        ],
+    )
+    def test_block_matches_from_rows(self, budget, width, dwell, start, K, C):
+        adv = SweepJammer(budget=budget, width=width, dwell=dwell)
+        got = adv.propose(start, K, C)
+        want = self.from_rows_block(adv, start, K, C)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.channels, want.channels)
+        assert got.channels.dtype == want.channels.dtype
+        assert got.total() == want.total()
+        if budget is not None:
+            # and after the base class clips it to the budget, mid-row
+            clipped = adv.jam_block(start, K, C)
+            assert clipped.total() == budget
+            np.testing.assert_array_equal(
+                clipped.to_dense(), want.truncate_budget(budget).to_dense()
+            )
 
 
 class TestRandomJammer:

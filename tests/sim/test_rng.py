@@ -1,9 +1,11 @@
-"""Unit tests for the deterministic RNG fabric."""
+"""Unit tests for the deterministic RNG fabric and the exact fast draws."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.rng import RandomFabric, derive_seed
+from repro.sim.rng import RandomFabric, bounded_integers, derive_seed
 
 
 class TestDeriveSeed:
@@ -71,3 +73,131 @@ class TestRandomFabric:
         g = RandomFabric(3).generator("u")
         x = g.random(10_000)
         assert abs(x.mean() - 0.5) < 0.02
+
+
+class TestBoundedIntegers:
+    """``bounded_integers`` against ``Generator.integers``, the contract the
+    block engines' bit-identity rests on (DESIGN.md section 6.5).
+
+    Each case draws the same request both ways from twin generators and
+    compares values, dtype and shape, then the *next* ``random()`` and
+    ``integers()`` draws: equal follow-ups prove the stream was consumed
+    identically.  The raw PCG64 state is compared too, except its
+    ``uinteger`` field: the fast path leaves it untouched where ``integers``
+    overwrites it, and numpy never reads it while ``has_uint32 == 0``.
+    """
+
+    HIGHS = [1, 2, 3, 4, 24, 32, 64, 2**20, 2**31]
+    SHAPES = [(0,), (5, 0), (7,), (3, 5), (8,), (6, 4), (4, 3, 2)]
+
+    @staticmethod
+    def twins(seed=11, bit_generator=np.random.PCG64):
+        return (
+            np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)),
+        )
+
+    @staticmethod
+    def assert_same_stream(ref_rng, fast_rng):
+        def state(rng):  # repr: Philox states hold arrays
+            raw = rng.bit_generator.state
+            return repr({k: v for k, v in raw.items() if k != "uinteger"})
+
+        assert state(ref_rng) == state(fast_rng)
+        assert ref_rng.random() == fast_rng.random()
+        # an odd-size follow-up reads a buffered half word if one was left
+        np.testing.assert_array_equal(
+            ref_rng.integers(0, 1000, size=3), fast_rng.integers(0, 1000, size=3)
+        )
+        assert ref_rng.random() == fast_rng.random()
+
+    def check(self, ref_rng, fast_rng, high, shape, dtype):
+        ref = ref_rng.integers(0, high, size=shape, dtype=dtype)
+        out = np.empty(shape, dtype=dtype)
+        assert bounded_integers(fast_rng, high, out) is out
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        np.testing.assert_array_equal(out, ref)
+        self.assert_same_stream(ref_rng, fast_rng)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("high", HIGHS)
+    def test_matches_integers(self, high, shape, dtype):
+        self.check(*self.twins(), high, shape, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("high", HIGHS)
+    def test_after_a_buffered_half_word(self, high, dtype):
+        ref_rng, fast_rng = self.twins(seed=5)
+        for g in (ref_rng, fast_rng):
+            g.integers(0, 4, size=3, dtype=np.int32)  # odd count: half word left
+            assert g.bit_generator.state["has_uint32"] == 1
+        self.check(ref_rng, fast_rng, high, (6, 4), dtype)
+
+    @pytest.mark.parametrize("high", [4, 24, 2**20])
+    def test_non_contiguous_out(self, high):
+        ref_rng, fast_rng = self.twins(seed=7)
+        ref = ref_rng.integers(0, high, size=(4, 6), dtype=np.int32)
+        base = np.full((8, 12), -1, dtype=np.int32)
+        out = base[::2, ::2]
+        assert not out.flags.c_contiguous
+        bounded_integers(fast_rng, high, out)
+        np.testing.assert_array_equal(out, ref)
+        assert (base[1::2] == -1).all() and (base[:, 1::2] == -1).all()
+        self.assert_same_stream(ref_rng, fast_rng)
+
+    @pytest.mark.parametrize("high", [1, 4, 24])
+    def test_philox_matches_integers(self, high):
+        ref_rng, fast_rng = self.twins(seed=3, bit_generator=np.random.Philox)
+        self.check(ref_rng, fast_rng, high, (6, 4), np.int32)
+
+    @pytest.mark.parametrize(
+        "bit_generator, high, shape, dtype, half_word, numpy_calls",
+        [
+            (np.random.PCG64, 4, (6, 4), np.int32, False, 0),  # the fast path
+            (np.random.PCG64, 2**31, (2,), np.int64, False, 0),
+            (np.random.Philox, 4, (6, 4), np.int32, False, 1),
+            (np.random.PCG64, 1, (6, 4), np.int32, False, 1),
+            (np.random.PCG64, 24, (6, 4), np.int32, False, 1),
+            (np.random.PCG64, 4, (7,), np.int32, False, 1),  # odd count
+            (np.random.PCG64, 4, (6, 4), np.int32, True, 1),
+            (np.random.PCG64, 4, (6, 4), np.int16, False, 1),
+        ],
+    )
+    def test_routing(self, bit_generator, high, shape, dtype, half_word, numpy_calls):
+        class Spy:
+            """Counts the ``integers`` calls made through it."""
+
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self.rng, self.calls = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        ref_rng, fast_rng = self.twins(seed=9, bit_generator=bit_generator)
+        if half_word:
+            for g in (ref_rng, fast_rng):
+                g.integers(0, 4, size=1, dtype=np.int32)
+        spy = Spy(fast_rng)
+        out = bounded_integers(spy, high, np.empty(shape, dtype=dtype))
+        assert spy.calls == numpy_calls
+        np.testing.assert_array_equal(
+            out, ref_rng.integers(0, high, size=shape, dtype=dtype)
+        )
+        self.assert_same_stream(ref_rng, fast_rng)
+
+    def test_numpy_high_bounds_still_raise(self):
+        with pytest.raises(ValueError):
+            bounded_integers(np.random.default_rng(0), 2**31 + 2, np.empty(4, np.int32))
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        k=st.integers(0, 31),
+        shape=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_integers(self, seed, k, shape, dtype):
+        self.check(*self.twins(seed=seed), 2**k, tuple(shape), dtype)
