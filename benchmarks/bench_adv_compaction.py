@@ -1,24 +1,25 @@
-"""EXP-ADV-COMPACTION — continuous lane batching vs fixed lockstep blocks.
+"""EXP-ADV-COMPACTION — continuous lane batching vs drained fixed blocks.
 
 Engineering baseline for DESIGN.md section 13: the adv stream driver
-(``run_adv_stream``, compaction + refill) against the fixed-block driver
-(``run_broadcast_batch`` in ``batch_lane_width``-sized chunks) on a
+(``run_adv_stream``) with compaction + refill at its production width
+(``MultiCastAdv.stream_lane_width``, 32) against width-8 drained streams
+(``run_broadcast_batch`` in 8-trial chunks: the same driver with no
+pending queue, so nothing refills — the lockstep schedule) on a
 staggered-exit workload — per eight trials, seven truncate at a small slot
 cap and one runs to completion.
 
-The two drivers do the *same* per-lane work (the per-lane RNG draws are a
-pure function of each trial's seed — that is the schedule-invariance
-contract), so what the bench measures is batching economics: the fixed
-path retires lanes mid-block but cannot admit new ones, so its kernel
-passes run ever narrower and the per-pass overhead stops amortizing;
-the stream refills freed slots from the pending queue and merges many
-lanes per pass.  Compaction is also what makes *wide* widths viable —
-``MultiCastAdv.stream_lane_width`` (32) vs its lockstep
-``batch_lane_width`` (8) — so the bench compares the two drivers at their
-advertised production widths.  The workload runs the protocol in its
-small-phase regime (b = 1e-4), where per-pass overhead dominates per-row
-kernel work and the pass count is the bill: the stream covers the same
-trials in ~5x fewer kernel passes.
+The two schedules do the *same* per-lane work (the per-lane RNG draws are
+a pure function of each trial's seed — that is the schedule-invariance
+contract), so what the bench measures is batching economics: a drained
+block retires lanes mid-block but cannot admit new ones, so its kernel
+passes run ever narrower and the per-pass overhead stops amortizing; the
+refilled stream admits pending trials into freed slots and merges many
+lanes per pass.  Compaction is also what makes *wide* widths viable: a
+width-32 block without refill would run its long trials on a near-empty
+batch.  The workload runs the protocol in its small-phase regime
+(b = 1e-4), where per-pass overhead dominates per-row kernel work and the
+pass count is the bill: the stream covers the same trials in ~5x fewer
+kernel passes.
 
 The committed ``benchmarks/BENCH_adv_compaction.json`` records the
 acceptance figures: **>= 1.5x** end-to-end on this workload, the straggler
@@ -58,7 +59,8 @@ BASE_SEED = 1
 #: small-phase regime: R(i, j) stays near 1 for many epochs, so kernel
 #: passes are overhead-bound and batching width is what pays
 KNOBS = dict(alpha=0.24, b=0.0001, halt_noise_divisor=50.0, helper_wait=4.0, max_epochs=30)
-FIXED_WIDTH = MultiCastAdv(**KNOBS).batch_lane_width
+#: the drained baseline's block width, fixed so committed records stay comparable
+FIXED_WIDTH = 8
 STREAM_WIDTH = MultiCastAdv(**KNOBS).stream_lane_width
 #: staggered-exit stripe: 7 budget-truncated trials + 1 full run per eight
 SHORT_CAP = 1_000
@@ -137,7 +139,6 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
             "stream_passes": int(stream_c["adv_batch.kernel_passes"]),
             "fixed_solo_slots": int(fixed_c.get("adv_batch.solo_slots", 0)),
             "stream_solo_slots": int(stream_c.get("adv_batch.solo_slots", 0)),
-            "fixed_straggler_slots": int(fixed_c.get("adv_batch.straggler_slots", 0)),
             "stream_refills": int(stream_c.get("adv_batch.refills", 0)),
             "stream_occupancy_fraction": round(lane / (lane + idle), 3),
         }
@@ -194,7 +195,6 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
         stream_passes=figures["stream_passes"],
         fixed_solo_slots=figures["fixed_solo_slots"],
         stream_solo_slots=figures["stream_solo_slots"],
-        fixed_straggler_slots=figures["fixed_straggler_slots"],
         stream_refills=figures["stream_refills"],
         stream_occupancy_fraction=figures["stream_occupancy_fraction"],
     )

@@ -8,8 +8,9 @@ variants), a gallery of jamming strategies, classic baselines, and a parallel
 Monte Carlo campaign engine (:mod:`repro.exp`, ``python -m repro sweep``)
 that regenerates the paper's theorem-level claims with confidence intervals.
 Trial batches run through a lane-batched execution engine
-(:func:`run_broadcast_batch`, DESIGN.md section 6) that is bit-identical per
-trial to the scalar path and several times faster on a single core.  The
+(:func:`repro.core.batch.run_broadcast_stream`, DESIGN.md sections 6 and 13)
+that is bit-identical per trial to the scalar path and several times faster
+on a single core.  The
 adaptive-adversary arena (:mod:`repro.arena`, DESIGN.md section 7) probes the
 paper's section-8 conjecture: reactive jammers (``sniper``, ``trailing``,
 ``reactive:<latency>``) run against every protocol on a vectorized

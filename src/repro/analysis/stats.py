@@ -189,14 +189,6 @@ class TrialBatch:
         return Summary.of(getattr(self, metric))
 
 
-#: Default trials per lane-batched kernel pass.  The sender-keyed block
-#: kernel does most of the amortizing on its own, so the remaining trade is
-#: cache residency: each lane adds ``block_slots * n`` coin doubles to the
-#: per-block working set, and on the 1-core reference box small widths win
-#: (measured in BENCH_engine.json).  Raise on machines with room.
-DEFAULT_LANE_WIDTH = 2
-
-
 def run_trials(
     protocol_factory: Callable[[], object],
     n: int,
@@ -231,29 +223,22 @@ def run_trials(
         back in trial order, so any worker count produces the identical
         batch (1 = in-process serial loop).
     backend:
-        ``"auto"`` (default) runs trials through the continuous-batching
-        lane engine (:func:`repro.core.batch.run_broadcast_stream`)
-        whenever ``workers <= 1`` — on a single core, batching is the fast
-        path and multiprocessing buys nothing.  ``"batched"`` forces it;
-        ``"fixed"`` forces the lockstep chunked engine
-        (:func:`repro.core.batch.run_broadcast_batch`, the pre-compaction
-        schedule — kept addressable as the baseline the compaction bench
-        and the schedule-invariance suite compare against); ``"scalar"``
-        forces the per-trial loop / process pool.  Every backend produces
-        the identical batch: trial seeds depend only on
-        ``(base_seed, label, t)`` and both batched engines are
-        bit-identical per trial (DESIGN.md sections 6 and 13).  Reactive
-        adversaries (the adaptive arena's jammers, DESIGN.md section 7)
-        are legal under every backend: the dispatchers route such trials
-        to the arena runtime per lane, so the adversary-model axis needs
-        no call-site changes.
+        ``"auto"`` (default) runs trials through the lane engine
+        (:func:`repro.core.batch.run_broadcast_stream`) whenever
+        ``workers <= 1`` — on a single core, batching is the fast path and
+        multiprocessing buys nothing.  ``"batched"`` forces it;
+        ``"scalar"`` forces the per-trial loop / process pool.  Both
+        produce the identical batch: trial seeds depend only on
+        ``(base_seed, label, t)`` and the lane engine is bit-identical per
+        trial (DESIGN.md sections 6 and 13).  Reactive adversaries (the
+        adaptive arena's jammers, DESIGN.md section 7) are legal under
+        every backend: the dispatchers route such trials to the arena
+        runtime per lane, so the adversary-model axis needs no call-site
+        changes.
     lane_width:
         Trials per batched kernel pass (memory/throughput knob; no effect
-        on results).  ``None`` (default) uses the protocol's advertised
-        preference: streaming backends take ``stream_lane_width`` first
-        (compaction keeps wide batches occupied, so ``MultiCastAdv``
-        streams wider than its lockstep blocks), then
-        ``batch_lane_width``, then :data:`DEFAULT_LANE_WIDTH`.
+        on results).  ``None`` (default) takes the protocol's
+        :func:`repro.core.batch.stream_width`.
     first_trial:
         Index of the first trial to run: the batch covers trial indices
         ``[first_trial, first_trial + trials)``.  Because every trial's
@@ -262,8 +247,8 @@ def run_trials(
         seed-wave primitive adaptive stopping is built on
         (:mod:`repro.exp.adaptive`).
     """
-    if backend not in ("auto", "scalar", "batched", "fixed"):
-        raise ValueError(f"unknown backend {backend!r} (auto, scalar, batched, fixed)")
+    if backend not in ("auto", "scalar", "batched"):
+        raise ValueError(f"unknown backend {backend!r} (auto, scalar, batched)")
 
     def adversary_for(t: int):
         if adversary_factory is None:
@@ -274,48 +259,22 @@ def run_trials(
         return derive_seed(base_seed, label, "net", t)
 
     stop = first_trial + trials
-    if backend in ("batched", "fixed") or (backend == "auto" and workers <= 1):
-        from repro.core.batch import run_broadcast_batch, run_broadcast_stream
+    if backend == "batched" or (backend == "auto" and workers <= 1):
+        from repro.core.batch import run_broadcast_stream
 
-        probe = protocol_factory() if lane_width is None else None
+        # one lane stream over the whole trial list, compacting/refilling
+        # as trials retire (DESIGN.md section 13)
         trial_ids = range(first_trial, stop)
-        if backend != "fixed":
-            # continuous batching: one lane stream over the whole trial
-            # list, compacting/refilling as trials retire (DESIGN.md §13);
-            # streams prefer the wider stream_lane_width because refill
-            # keeps wide batches occupied
-            if lane_width is None:
-                lane_width = getattr(
-                    probe,
-                    "stream_lane_width",
-                    getattr(probe, "batch_lane_width", DEFAULT_LANE_WIDTH),
-                )
-            return TrialBatch(
-                results=run_broadcast_stream(
-                    protocol_factory(),
-                    n,
-                    [adversary_for(t) for t in trial_ids],
-                    [net_seed(t) for t in trial_ids],
-                    max_slots=max_slots,
-                    lane_width=max(1, int(lane_width)),
-                )
+        return TrialBatch(
+            results=run_broadcast_stream(
+                protocol_factory(),
+                n,
+                [adversary_for(t) for t in trial_ids],
+                [net_seed(t) for t in trial_ids],
+                max_slots=max_slots,
+                lane_width=lane_width,
             )
-        if lane_width is None:
-            lane_width = getattr(probe, "batch_lane_width", DEFAULT_LANE_WIDTH)
-        lane_width = max(1, int(lane_width))
-        results: List[BroadcastResult] = []
-        for start in range(first_trial, stop, lane_width):
-            chunk = range(start, min(start + lane_width, stop))
-            results.extend(
-                run_broadcast_batch(
-                    protocol_factory(),
-                    n,
-                    [adversary_for(t) for t in chunk],
-                    [net_seed(t) for t in chunk],
-                    max_slots=max_slots,
-                )
-            )
-        return TrialBatch(results=results)
+        )
 
     def one(t: int):
         return run_broadcast(

@@ -24,7 +24,7 @@ Two execution backends share that entry point (``backend=``):
   :class:`~repro.core.batch.FallbackNotes` entry.
 
 :func:`run_broadcast_windowed_batch` is the lane-batched form behind
-:func:`repro.core.batch.run_broadcast_batch`'s reactive routing.
+:func:`repro.core.batch.run_broadcast_stream`'s reactive routing.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def lift_protocol(protocol, n: int, seed: int) -> ColumnProtocol:
 def _note_slot_fallback(adversary) -> None:
     """Record (once per campaign, via the active collector) that a reactive
     adversary without the window interface forced slot stepping — mirrors
-    ``run_broadcast_batch``'s scalar-fallback notes, so ``repro sweep``
+    ``run_broadcast_stream``'s scalar-fallback notes, so ``repro sweep``
     surfaces the backend choice instead of silently running 10x slower."""
     from repro.core import batch as _batch
     from repro.obs.recorder import active as _obs_active
@@ -197,7 +197,7 @@ def run_broadcast_windowed_batch(
     """Window-step a lane batch of trials of one protocol in lockstep.
 
     The lane-batched arena entry behind
-    :func:`repro.core.batch.run_broadcast_batch`: lane ``b`` runs
+    :func:`repro.core.batch.run_broadcast_stream`: lane ``b`` runs
     ``(seed=seeds[b], adversary=adversaries[b])`` and is bit-identical to
     ``run_broadcast_adaptive(protocol, n, adversaries[b], seed=seeds[b])``
     — same trial seeds, same draws, same books — so batched campaigns match

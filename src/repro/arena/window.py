@@ -84,7 +84,7 @@ def windowable_adversary(adversary) -> bool:
     (:attr:`~repro.adversary.reactive.ReactiveJammer.window_latency`).
 
     The single windowability rule: ``run_broadcast_adaptive``'s ``auto``
-    routing, ``run_broadcast_batch``'s all-reactive routing and
+    routing, ``run_broadcast_stream``'s all-reactive routing and
     :func:`run_windowed`'s validation all ask it.  Oblivious jammers and
     reactive strategies without the window interface (``window_latency``
     ``None``) need the slot-stepped loop."""

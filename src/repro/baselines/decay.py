@@ -197,7 +197,7 @@ class DecayBroadcast:
 
         tel = _obs_active()
         if tel is not None:
-            # book the lanes like run_iterations_batch does, so the
+            # book the lanes like run_iterations_stream does, so the
             # occupancy invariant (every trial in exactly one lane counter)
             # holds for bespoke run_batch protocols too
             tel.count("batch.batches")

@@ -44,9 +44,10 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Set
 
-from repro import MultiCastC, run_broadcast
+from repro import MultiCastC
 from repro.analysis import render_table
 from repro.arena import run_broadcast_adaptive, supports_protocol
+from repro.core.batch import run_broadcast_stream
 from repro.exp import (
     CampaignInterrupted,
     CampaignSpec,
@@ -99,7 +100,11 @@ def _result_rows(result):
 def cmd_run(args) -> int:
     proto = make_protocol(args.protocol, args.n, T=args.budget, C=args.channels)
     adv = make_jammer(args.jammer, args.budget, seed=args.seed + 1, n=args.n)
-    result = run_broadcast(proto, args.n, adversary=adv, seed=args.seed, max_slots=args.max_slots)
+    # a one-trial lane stream: the batched kernels, bit-identical to the
+    # scalar run_broadcast
+    (result,) = run_broadcast_stream(
+        proto, args.n, [adv], [args.seed], max_slots=args.max_slots
+    )
     print(render_table(["metric", "value"], _result_rows(result), title=str(result.protocol)))
     return 0 if result.success else 1
 
@@ -114,7 +119,7 @@ def cmd_gallery(args) -> int:
     for name in jammers:
         proto = make_protocol(args.protocol, args.n, T=args.budget)
         adv = make_jammer(name, args.budget, seed=args.seed + 1, n=args.n)
-        r = run_broadcast(proto, args.n, adversary=adv, seed=args.seed, max_slots=args.max_slots)
+        (r,) = run_broadcast_stream(proto, args.n, [adv], [args.seed], max_slots=args.max_slots)
         ok &= r.success
         rows.append([name, "yes" if r.success else "NO", r.slots, r.adversary_spend, r.max_cost])
     print(
@@ -190,7 +195,7 @@ def cmd_channels(args) -> int:
     while C <= args.n // 2:
         proto = MultiCastC(args.n, C)
         adv = make_jammer("blackout", args.budget, seed=args.seed + 1)
-        r = run_broadcast(proto, args.n, adversary=adv, seed=args.seed, max_slots=args.max_slots)
+        (r,) = run_broadcast_stream(proto, args.n, [adv], [args.seed], max_slots=args.max_slots)
         ok &= r.success
         rows.append([C, "yes" if r.success else "NO", r.slots, r.max_cost])
         C *= 2

@@ -3,9 +3,10 @@
 Every statistic this reproduction reports is a rate over independently
 seeded trials, and on a single core the only remaining speed lever is
 amortizing per-block interpreter and kernel overhead across those trials.
-This module is the protocol-layer half of that move (DESIGN.md section 6):
+This module is the protocol-layer half of that move (DESIGN.md sections 6
+and 13):
 
-* :func:`_shared_coin_block` — the lane-batched block kernel for the
+* :func:`_shared_coin_ragged` — the lane-batched block kernel for the
   shared-coin action rule (Figs. 1/2/5).  The iteration loop never consumes
   action or feedback *matrices* — only per-node listen/send/noise totals,
   the informing events, and the resulting statuses — and under the shared
@@ -14,25 +15,21 @@ This module is the protocol-layer half of that move (DESIGN.md section 6):
   resolves the "uninformed node heard m" cascade as a vectorized
   fixed-point over per-node informing rows, and reduces the counters in one
   sender-keyed pass — no ``resolve_block``, no ``(B, K, n)`` action/feedback
-  materialization, one flat key space ``lane*K*C + slot*C + channel``.
-* :func:`run_iterations_batch` — the lane-batched counterpart of the shared
-  iteration loop used by ``MultiCastCore`` (Fig. 1), ``MultiCast`` (Fig. 2)
-  and ``MultiCast(C)`` (Fig. 5): all protocols whose periods are iterations
-  of R slots with a shared-coin action rule and a noisy-slot halting test.
-  Lanes run the same iteration schedule in lockstep; a lane that halts (or
-  overruns ``max_slots``) is masked out of subsequent blocks rather than
-  blocking the batch.
-* :func:`run_broadcast_batch` — the batch analogue of
-  :func:`repro.core.result.run_broadcast`: build one
-  :class:`repro.sim.engine.BatchNetwork` over per-lane seeds/adversaries and
-  dispatch to the protocol's ``run_batch``.  Every shipped protocol has one
-  (``MultiCastAdv``/``MultiCastAdvC`` batch through
-  :mod:`repro.core.adv_batch`); a protocol without one (or a batch mixing
-  reactive with oblivious adversaries) falls back to a per-lane loop behind
-  the same interface — loudly: the fallback prints one stderr line and
-  stamps ``extras["backend"] = "scalar-fallback"`` on each lane that ran
-  the scalar block engine, so campaign logs and stores show which cells
-  didn't batch.
+  materialization, one flat key space ``global_row*C + channel``.
+* :class:`LaneStream` and :func:`run_iterations_stream` — ``W`` lane slots
+  over a pending trial queue, driving the shared iteration loop of
+  ``MultiCastCore`` (Fig. 1), ``MultiCast`` (Fig. 2) and ``MultiCast(C)``
+  (Fig. 5); a slot whose trial retires is refilled with the next one.
+* :func:`run_broadcast_stream` — the batch analogue of
+  :func:`repro.core.result.run_broadcast` and the one dispatcher: trials of
+  a protocol with a ``run_stream``, with no reactive adversary and no
+  ``trace=``, run as one :class:`LaneStream`; every other group of
+  ``width`` trials takes the trace, windowed-arena, scalar or
+  ``run_batch`` path (:func:`_run_block`).  Scalar fallbacks are loud:
+  one stderr line (or one campaign-scoped :class:`FallbackNotes` entry)
+  and ``extras["backend"] = "scalar-fallback"`` on each lane that ran the
+  scalar block engine.  :func:`run_broadcast_batch` is the lockstep
+  schedule: a stream as wide as its trial count, so nothing refills.
 
 Determinism contract (enforced by ``tests/core/test_batch_equivalence.py``):
 lane ``l`` is **bit-identical** to the scalar execution with the same
@@ -59,12 +56,20 @@ from repro.sim.jam import JamBlock
 __all__ = [
     "run_broadcast_batch",
     "run_broadcast_stream",
-    "run_iterations_batch",
     "run_iterations_stream",
+    "stream_width",
     "LaneStream",
     "FallbackNotes",
     "collect_fallback_notes",
 ]
+
+#: Default trials per lane-batched kernel pass.  The sender-keyed block
+#: kernel does most of the amortizing on its own, so the remaining trade is
+#: cache residency: each lane adds ``block_slots * n`` coin doubles to the
+#: per-block working set, and on the 1-core reference box small widths win
+#: (measured in BENCH_engine.json).  Protocols that merge better advertise
+#: a ``stream_lane_width`` (:func:`stream_width`).
+DEFAULT_LANE_WIDTH = 2
 
 #: ``schedule(i) -> (R, p, threshold)``: iteration i's length, listen
 #: probability and halting threshold (halt iff noisy-slot count < threshold).
@@ -290,194 +295,6 @@ def _shared_coin_ragged(
     return listen_counts, send_counts, noise_counts, informing_row < NEVER
 
 
-def _shared_coin_block(
-    channels: np.ndarray,
-    coins: np.ndarray,
-    jam: JamBlock,
-    informed: np.ndarray,
-    active: np.ndarray,
-    p: float,
-    *,
-    slot0: np.ndarray,
-    slot_scale: int = 1,
-    informed_slot: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-shape adapter over :func:`_shared_coin_ragged` — the lockstep
-    driver's view: ``channels``/``coins`` are ``(L, K, n)`` (every lane at
-    the same schedule point, so every lane contributes K rows and shares one
-    listen probability).  The reshape is a view; the ragged core is the
-    single implementation of the event cascade."""
-    L, K, n = coins.shape
-    offsets = np.arange(L + 1, dtype=np.int64) * K
-    return _shared_coin_ragged(
-        channels.reshape(L * K, n),
-        coins.reshape(L * K, n),
-        jam,
-        offsets,
-        np.full(L, p, dtype=np.float64),
-        informed,
-        active,
-        slot0=slot0,
-        slot_scale=slot_scale,
-        informed_slot=informed_slot,
-    )
-
-
-def run_iterations_batch(
-    proto,
-    bnet: BatchNetwork,
-    *,
-    first_index: int,
-    schedule: IterationSchedule,
-    make_extras: Callable[[int], dict],
-    slots_per_row: int = 1,
-    draw_jamming=None,
-    count_at_entry: bool = False,
-) -> List[BroadcastResult]:
-    """Run the shared iteration loop for every lane of ``bnet`` in lockstep.
-
-    Mirrors ``repro.core.multicast._run_multicast_iterations`` lane-by-lane:
-    while a lane still has active nodes it keeps entering iterations, and
-    since every lane starts at ``first_index`` all live lanes are always on
-    the *same* iteration — so they share R, p and the block structure, and
-    the whole batch advances through one sequence of draw/resolve/commit
-    calls, with each block resolved by :func:`_shared_coin_block`.
-    ``proto`` supplies ``n``, ``num_channels``, ``block_slots``,
-    ``max_iterations`` and ``name``; ``make_extras(lane_iterations)`` builds
-    the per-lane extras dict.
-
-    ``draw_jamming(lane_ids, rows)`` may override the jam source (the Fig. 5
-    physical-to-virtual relabeling); the default draws on
-    ``proto.num_channels`` directly.
-
-    ``count_at_entry`` mirrors a bookkeeping difference between the scalar
-    runners: ``MultiCastCore`` increments its iteration counter on *entering*
-    an iteration (so a lane truncated mid-iteration reports the partial one
-    in ``periods``), ``MultiCast`` on completing it.
-    """
-    n = proto.n
-    C = proto.num_channels
-    if bnet.n != n:
-        raise ValueError(f"batch network has n={bnet.n}, protocol built for n={n}")
-    if draw_jamming is None:
-        draw_jamming = lambda lane_ids, rows: bnet.draw_jamming(lane_ids, rows, C)  # noqa: E731
-
-    B = bnet.B
-    informed = np.zeros((B, n), dtype=bool)
-    informed[:, 0] = True
-    active = np.ones((B, n), dtype=bool)
-    informed_slot = np.full((B, n), -1, dtype=np.int64)
-    informed_slot[:, 0] = 0
-    halt_slot = np.full((B, n), -1, dtype=np.int64)
-    halted_uninformed = np.zeros(B, dtype=np.int64)
-    completed = np.ones(B, dtype=bool)
-    iterations_run = np.zeros(B, dtype=np.int64)
-    live = np.ones(B, dtype=bool)
-    i = first_index
-    tel = _obs_active()
-
-    while live.any():
-        if proto.max_iterations is not None and int(iterations_run[live].max()) >= proto.max_iterations:
-            completed[live] = False
-            break
-        R, p, threshold = schedule(i)
-        noisy = np.zeros((B, n), dtype=np.int64)
-        lane_ids = np.nonzero(live)[0]
-        remaining = R
-        while remaining > 0 and lane_ids.size:
-            K = min(proto.block_slots, remaining)
-            channels = bnet.draw_channels(lane_ids, K, C)
-            coins = bnet.draw_coins(lane_ids, K)
-            jam = draw_jamming(lane_ids, K)
-            sub_slot = informed_slot[lane_ids]
-            if tel is not None:
-                t0 = time.perf_counter()
-            listen_counts, send_counts, block_noise, new_informed = _shared_coin_block(
-                channels,
-                coins,
-                jam,
-                informed[lane_ids],
-                active[lane_ids],
-                p,
-                slot0=bnet.clocks[lane_ids],
-                slot_scale=slots_per_row,
-                informed_slot=sub_slot,
-            )
-            if tel is not None:
-                tel.add_time("batch.kernel_s", time.perf_counter() - t0)
-                tel.count("batch.kernel_passes")
-                tel.count("batch.lane_rows", int(lane_ids.size) * K)
-                tel.observe("batch.occupancy", int(lane_ids.size))
-                tel.count("batch.lane_passes", int(lane_ids.size))
-                tel.count("batch.idle_lane_passes", B - int(lane_ids.size))
-                if lane_ids.size == 1 and B > 1:
-                    # slots simulated with the batch drained to one lane —
-                    # the straggler tail continuous batching removes
-                    tel.count("batch.solo_slots", K * slots_per_row)
-            overrun = bnet.commit_counts(
-                lane_ids, listen_counts, send_counts, K, slots_per_row=slots_per_row
-            )
-            # informed_slot is adopted even for a lane whose commit overran
-            # (the scalar path raises *after* the event loop's in-place
-            # update); informed/noisy updates belong to survivors only,
-            # matching where the scalar exception lands.
-            informed_slot[lane_ids] = sub_slot
-            if overrun.any():
-                dead = lane_ids[overrun]
-                completed[dead] = False
-                live[dead] = False
-                if count_at_entry:  # the partial iteration counts (Fig. 1)
-                    iterations_run[dead] += 1
-                lane_ids = lane_ids[~overrun]
-                new_informed = new_informed[~overrun]
-                block_noise = block_noise[~overrun]
-            informed[lane_ids] = new_informed
-            noisy[lane_ids] += block_noise
-            remaining -= K
-        if lane_ids.size:
-            halt_now = active[lane_ids] & (noisy[lane_ids] < threshold)  # (L, n)
-            halted_uninformed[lane_ids] += (halt_now & ~informed[lane_ids]).sum(axis=1)
-            lane_halt = halt_slot[lane_ids]
-            lane_clocks = bnet.clocks[lane_ids]
-            lane_halt[halt_now] = np.broadcast_to(lane_clocks[:, None], lane_halt.shape)[halt_now]
-            halt_slot[lane_ids] = lane_halt
-            active[lane_ids] &= ~halt_now
-            iterations_run[lane_ids] += 1
-            finished = ~active[lane_ids].any(axis=1)
-            live[lane_ids[finished]] = False
-        i += 1
-
-    if tel is not None:
-        if B > 1:
-            # straggler wait: slots the slowest lane ran past the second-
-            # slowest — per-pass occupancy says *when* lanes drop out, this
-            # says how much tail one lane adds to the whole batch
-            clocks = np.sort(bnet.clocks)
-            tel.count("batch.straggler_slots", int(clocks[-1] - clocks[-2]))
-        # lanes/batches are counted even for B == 1 so the occupancy
-        # invariant (every trial lands in exactly one lane counter) holds
-        # at any width — see tests/obs/test_occupancy.py
-        tel.count("batch.batches")
-        tel.count("batch.lanes", B)
-
-    return [
-        BroadcastResult(
-            protocol=proto.name,
-            n=n,
-            slots=int(bnet.clocks[lane]),
-            completed=bool(completed[lane]) and not active[lane].any(),
-            informed_slot=informed_slot[lane].copy(),
-            halt_slot=halt_slot[lane].copy(),
-            node_energy=bnet.energy.lane_node_cost(lane),
-            adversary_spend=bnet.energy.lane_adversary_spend(lane),
-            halted_uninformed=int(halted_uninformed[lane]),
-            periods=int(iterations_run[lane]),
-            extras=make_extras(int(iterations_run[lane])),
-        )
-        for lane in range(B)
-    ]
-
-
 class LaneStream:
     """``W`` reusable lane slots streaming over a pending trial queue.
 
@@ -545,23 +362,34 @@ def run_iterations_stream(
     draw_jamming=None,
     count_at_entry: bool = False,
 ) -> List[BroadcastResult]:
-    """Continuous-batching counterpart of :func:`run_iterations_batch`.
+    """Run the shared iteration loop for every trial of ``stream``.
 
-    Same per-trial semantics, different scheduling: lane slots are *not* in
-    lockstep.  Each slot carries its own iteration index, schedule constants
-    and remaining-row count; every pass merges all occupied slots — wherever
-    they are in their schedules — into one ragged kernel call (per-lane row
-    counts and listen probabilities), and a slot that finishes its trial is
-    refilled from the stream's pending queue instead of idling until the
-    batch drains.  Trial results are bit-identical to the lockstep (and
-    scalar) paths because a lane's draws, and everything derived from them,
-    are functions of its own generator only — the schedule-invariance suite
-    (``tests/core/test_lane_schedule_invariance.py``) enforces exactly that.
+    Mirrors ``repro.core.multicast._run_multicast_iterations`` per trial:
+    while a trial still has active nodes it keeps entering iterations.
+    Lane slots are *not* in lockstep.  Each slot carries its own iteration
+    index, schedule constants and remaining-row count; every pass merges all
+    occupied slots — wherever they are in their schedules — into one ragged
+    :func:`_shared_coin_ragged` call (per-lane row counts and listen
+    probabilities), and a slot that finishes its trial (halted, truncated at
+    its ``max_slots``, or out of iterations) is refilled from the stream's
+    pending queue.  A stream as wide as its trial list never refills, which
+    is the lockstep schedule.  Trial results are bit-identical to the scalar
+    path at any width because a lane's draws, and everything derived from
+    them, are functions of its own generator only
+    (``tests/core/test_batch_equivalence.py`` and
+    ``tests/core/test_lane_schedule_invariance.py``).
 
-    ``draw_jamming(lane_ids, rows)`` may override the jam source with a
-    ragged drawer returning one stacked uniform-C :class:`JamBlock` (the
-    Fig. 5 physical-to-virtual relabeling); the default stacks
-    :meth:`BatchNetwork.draw_jamming_ragged` on ``proto.num_channels``.
+    ``proto`` supplies ``n``, ``num_channels``, ``block_slots``,
+    ``max_iterations`` and ``name``; ``make_extras(lane_iterations)`` builds
+    the per-trial extras dict.  ``draw_jamming(lane_ids, rows)`` may
+    override the jam source with a ragged drawer returning one stacked
+    uniform-C :class:`JamBlock` (the Fig. 5 physical-to-virtual relabeling);
+    the default stacks :meth:`BatchNetwork.draw_jamming_ragged` on
+    ``proto.num_channels``.  ``count_at_entry`` mirrors a bookkeeping
+    difference between the scalar runners: ``MultiCastCore`` increments its
+    iteration counter on *entering* an iteration (so a trial truncated
+    mid-iteration reports the partial one in ``periods``), ``MultiCast`` on
+    completing it.
     """
     n = proto.n
     C = proto.num_channels
@@ -638,7 +466,7 @@ def run_iterations_stream(
                 return
             reset_slot(slot)
             if proto.max_iterations is not None and proto.max_iterations <= 0:
-                # the lockstep driver's top-of-loop check fires before the
+                # the scalar loop's top-of-loop check fires before the
                 # first iteration of such a (degenerate) schedule
                 completed[slot] = False
                 continue
@@ -687,8 +515,8 @@ def run_iterations_stream(
         )
         # informed_slot is adopted even for a lane whose commit overran (the
         # scalar path raises *after* the event loop's in-place update);
-        # informed/noisy updates belong to survivors only — same contract as
-        # the lockstep driver.
+        # informed/noisy updates belong to survivors only, matching where
+        # the scalar exception lands.
         informed_slot[lane_ids] = sub_slot
         for idx, slot in enumerate(lane_ids):
             if overrun[idx]:
@@ -743,7 +571,7 @@ class FallbackNotes:
     """Campaign-scoped tally of fallback lanes, keyed by cause.
 
     A long campaign can push thousands of lane blocks through
-    :func:`run_broadcast_batch`; if its protocol cannot batch, a per-call
+    :func:`run_broadcast_stream`; if its protocol cannot batch, a per-call
     stderr line turns the log into noise (once per kernel pass, not once per
     campaign).  Inside a :func:`collect_fallback_notes` scope the calls
     stay silent and the notes accumulate here; the campaign runner emits one
@@ -841,58 +669,29 @@ def _lane_caps(max_slots, count: int) -> np.ndarray:
     return caps.copy()
 
 
-def run_broadcast_batch(
-    protocol,
-    n: int,
-    adversaries: Optional[Sequence] = None,
-    seeds: Sequence[int] = (0,),
-    *,
-    max_slots=50_000_000,
-    trace=None,
-) -> List[BroadcastResult]:
-    """Run one execution per lane — ``len(seeds)`` trials in one batch.
+def stream_width(protocol) -> int:
+    """The lane width ``protocol`` streams at: its advertised
+    ``stream_lane_width``, else :data:`DEFAULT_LANE_WIDTH`.
 
-    The batch analogue of :func:`repro.core.result.run_broadcast`: lane ``l``
-    runs ``protocol`` against ``adversaries[l]`` (reset first) under seed
-    ``seeds[l]``, and the returned list matches what ``B`` scalar
-    ``run_broadcast`` calls would produce, result for result.
+    The one width rule: the stream entry point, ``run_trials``,
+    ``run_trial_batch`` and the sharded pool's block sizing all ask it.  A
+    throughput knob only — results are bit-identical at any width."""
+    return max(1, int(getattr(protocol, "stream_lane_width", DEFAULT_LANE_WIDTH)))
 
-    Protocols advertise batch support with a ``run_batch(bnet)`` method —
-    every shipped protocol has one (``MultiCastAdv``/``MultiCastAdvC``
-    through :mod:`repro.core.adv_batch`).  A protocol without one — and any
-    batch mixing reactive with oblivious adversaries — falls back to a
-    per-lane loop behind the same interface, but not silently: every lane
-    that actually ran the scalar block engine gets
-    ``extras["backend"] = "scalar-fallback"`` and one stderr line counts
-    them, so campaign logs and stores show which cells didn't batch.
-    (Lanes with *reactive* adversaries are different — they dispatch to the
-    vectorized arena runtime by design and are neither warned about nor
-    stamped.)
 
-    ``trace=`` (a :class:`~repro.core.trace.TraceRecorder`) is honored only
-    by the scalar engine: a one-lane batch falls back scalar with a
-    FallbackNote, and a multi-lane batch raises — a trace records one
-    execution, so silently attaching it to lane 0 of a batch (or dropping
-    it, as batched/windowed dispatch used to) would misreport what ran.
+def _run_block(protocol, n, adversaries, seeds, caps, trace) -> List[BroadcastResult]:
+    """Run one group of trials that cannot join a :class:`LaneStream`.
+
+    The engine ladder, first match wins: a ``trace=`` request runs the
+    scalar engine; an all-reactive group whose every jammer window-steps
+    runs the windowed arena; a group mixing reactive with oblivious
+    adversaries, or a protocol with neither ``run_stream`` nor
+    ``run_batch``, runs per lane through ``run_broadcast`` (reactive lanes
+    dispatch to the arena, oblivious lanes run the scalar block engine and
+    are stamped and noted); otherwise the protocol's own ``run_batch``
+    (Decay, Naive) runs the group in lockstep.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one lane (seed)")
-    if adversaries is None:
-        adversaries = [None] * len(seeds)
-    adversaries = list(adversaries)
-    if len(adversaries) != len(seeds):
-        raise ValueError(
-            f"{len(adversaries)} adversaries for {len(seeds)} seeds (need one per lane)"
-        )
-    caps = _lane_caps(max_slots, len(seeds))
     if trace is not None:
-        if len(seeds) > 1:
-            raise ValueError(
-                "trace recording is scalar-only: run_broadcast_batch got "
-                f"trace= with {len(seeds)} lanes — record one lane per "
-                "trace, or drop trace= to run batched"
-            )
         result = run_broadcast(
             protocol, n, adversaries[0], seed=seeds[0], max_slots=int(caps[0]),
             trace=trace,
@@ -906,20 +705,14 @@ def run_broadcast_batch(
         adversary is not None and windowable_adversary(adversary)
         for adversary in adversaries
     ):
-        # an all-reactive batch whose every jammer has the window interface:
-        # the arena's windowed lane driver hosts the whole batch in lockstep
-        # (bit-identical to the per-lane arena dispatch below, ~10x faster)
+        # an all-reactive group whose every jammer has the window interface:
+        # the arena's windowed lane driver hosts it (bit-identical to the
+        # per-lane arena dispatch below, ~10x faster)
         from repro.arena.run import run_broadcast_windowed_batch, supports_protocol
 
         if supports_protocol(protocol):
-            if np.unique(caps).size == 1:
-                return run_broadcast_windowed_batch(
-                    protocol, n, adversaries, seeds, max_slots=int(caps[0])
-                )
-            # heterogeneous per-lane caps: the windowed driver takes one cap
-            # per batch, so group lanes by cap (grouping cannot change any
-            # lane's result — the windowed driver carries the same per-lane
-            # determinism contract)
+            # the windowed driver takes one cap per call, so group lanes by
+            # cap (grouping cannot change any lane's result)
             results = [None] * len(seeds)
             for cap in dict.fromkeys(caps.tolist()):
                 idx = [k for k, c in enumerate(caps.tolist()) if c == cap]
@@ -933,36 +726,33 @@ def run_broadcast_batch(
                 for k, r in zip(idx, sub):
                     results[k] = r
             return results
-    has_run_batch = hasattr(protocol, "run_batch")
-    if not has_run_batch or any(
-        hasattr(adversary, "jam_slot") for adversary in adversaries
-    ):
+    reactive = [hasattr(adversary, "jam_slot") for adversary in adversaries]
+    if any(reactive) or not hasattr(protocol, "run_batch"):
         # reactive (adaptive) adversaries cannot run on the oblivious block
         # engine; run_broadcast dispatches those lanes to the arena runtime
         results = []
-        fallbacks = 0
         for adversary, seed, cap in zip(adversaries, seeds, caps):
             result = run_broadcast(protocol, n, adversary, seed=seed, max_slots=int(cap))
             if not hasattr(adversary, "jam_slot"):
                 # this lane ran the scalar block engine (reactive lanes run
                 # the vectorized arena by design and are not stamped)
                 result.extras["backend"] = "scalar-fallback"
-                fallbacks += 1
             results.append(result)
+        fallbacks = len(reactive) - sum(reactive)
         if fallbacks:
+            batched = hasattr(protocol, "run_stream") or hasattr(protocol, "run_batch")
             _note_fallback(
                 protocol,
-                "has no run_batch"
-                if not has_run_batch
-                else "split a mixed reactive/oblivious batch",
+                "split a mixed reactive/oblivious batch"
+                if batched
+                else "has neither run_stream nor run_batch",
                 fallbacks,
             )
         return results
     for adversary in adversaries:
         if adversary is not None:
             adversary.reset()
-    bnet = BatchNetwork(n, seeds, adversaries, max_slots=caps)
-    return protocol.run_batch(bnet)
+    return protocol.run_batch(BatchNetwork(n, seeds, adversaries, max_slots=caps))
 
 
 def run_broadcast_stream(
@@ -976,23 +766,27 @@ def run_broadcast_stream(
     trace=None,
 ) -> List[BroadcastResult]:
     """Run ``len(seeds)`` trials through ``lane_width`` continuously-refilled
-    lane slots — the compaction/refill analogue of :func:`run_broadcast_batch`.
+    lane slots — the batch analogue of :func:`repro.core.result.run_broadcast`.
 
-    Where the fixed-lane path chops the trial list into width-sized blocks
-    and runs each block to its slowest lane, this one keeps exactly
-    ``lane_width`` slots busy: a slot whose trial retires (halts, truncates
-    at its own ``max_slots``, or runs out of epochs) is immediately refilled
-    from the pending queue.  ``max_slots`` may be a scalar or one cap per
-    trial.  Results are bit-identical per trial to the fixed-lane and scalar
-    paths — a trial's result is a pure function of its (seed, adversary,
-    cap), never of lane placement, width, or refill schedule
-    (``tests/core/test_lane_schedule_invariance.py``).
+    Trial ``t`` runs ``protocol`` against ``adversaries[t]`` (reset first)
+    under seed ``seeds[t]`` and cap ``max_slots`` (a scalar or one cap per
+    trial), and the returned list matches what scalar ``run_broadcast``
+    calls would produce, result for result — a trial's result is a pure
+    function of its (seed, adversary, cap), never of lane placement, width,
+    or refill schedule (``tests/core/test_lane_schedule_invariance.py``).
+    ``lane_width=None`` takes :func:`stream_width`.
 
-    Protocols advertise stream support with ``run_stream(stream)``; a
-    protocol without one — or a trial list with reactive adversaries, or a
-    ``trace=`` request — falls back to fixed width-sized blocks through
-    :func:`run_broadcast_batch`, which applies its own (stamped, counted)
-    dispatch per block.
+    The engine is chosen once.  Trials of a protocol with a
+    ``run_stream``, with no reactive adversary and no ``trace=``, run as one
+    :class:`LaneStream`: exactly ``lane_width`` slots stay busy, and a slot
+    whose trial retires (halts, truncates at its own cap, or runs out of
+    epochs) is refilled from the pending queue.  Everything else runs in
+    groups of ``lane_width`` trials through :func:`_run_block`.
+
+    ``trace=`` (a :class:`~repro.core.trace.TraceRecorder`) is honored only
+    by the scalar engine, so it takes exactly one trial: a trace records one
+    execution, and attaching it to one lane of many (or dropping it) would
+    misreport what ran.
     """
     seeds = list(seeds)
     if not seeds:
@@ -1005,25 +799,13 @@ def run_broadcast_stream(
             f"{len(adversaries)} adversaries for {len(seeds)} seeds (need one per trial)"
         )
     caps = _lane_caps(max_slots, len(seeds))
-    if lane_width is None:
-        # streams prefer the wider stream_lane_width: refill keeps wide
-        # batches occupied, where a fixed block would drain to stragglers
-        lane_width = getattr(
-            protocol,
-            "stream_lane_width",
-            getattr(protocol, "batch_lane_width", None),
-        )
-    if lane_width is None:
-        from repro.analysis.stats import DEFAULT_LANE_WIDTH
-
-        lane_width = DEFAULT_LANE_WIDTH
-    width = max(1, int(lane_width))
     if trace is not None and len(seeds) > 1:
         raise ValueError(
-            "trace recording is scalar-only: run_broadcast_stream got "
-            f"trace= with {len(seeds)} trials — record one trial per "
-            "trace, or drop trace= to run batched"
+            "trace recording is scalar-only: got trace= with "
+            f"{len(seeds)} trials — record one trial per trace, or drop "
+            "trace= to run batched"
         )
+    width = stream_width(protocol) if lane_width is None else max(1, int(lane_width))
     if (
         trace is not None
         or not hasattr(protocol, "run_stream")
@@ -1033,13 +815,9 @@ def run_broadcast_stream(
         for start in range(0, len(seeds), width):
             stop = start + width
             results.extend(
-                run_broadcast_batch(
-                    protocol,
-                    n,
-                    adversaries[start:stop],
-                    seeds[start:stop],
-                    max_slots=caps[start:stop],
-                    trace=trace,
+                _run_block(
+                    protocol, n, adversaries[start:stop], seeds[start:stop],
+                    caps[start:stop], trace,
                 )
             )
         return results
@@ -1049,3 +827,27 @@ def run_broadcast_stream(
     if missing:  # a driver bug, not a user error — fail loudly
         raise RuntimeError(f"stream driver left trials {missing} unfinished")
     return results
+
+
+def run_broadcast_batch(
+    protocol,
+    n: int,
+    adversaries: Optional[Sequence] = None,
+    seeds: Sequence[int] = (0,),
+    *,
+    max_slots=50_000_000,
+    trace=None,
+) -> List[BroadcastResult]:
+    """Run ``len(seeds)`` trials as one lockstep batch: a
+    :func:`run_broadcast_stream` as wide as its trial list, so every trial
+    is admitted at once and no slot ever refills."""
+    seeds = list(seeds)
+    return run_broadcast_stream(
+        protocol, n, adversaries, seeds, max_slots=max_slots,
+        lane_width=max(1, len(seeds)), trace=trace,
+    )
+
+
+# perfbench/spans.py traces the retired lockstep driver under this name;
+# the alias keeps that target resolving.  Remove it with that target.
+run_iterations_batch = run_iterations_stream

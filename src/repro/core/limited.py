@@ -105,39 +105,12 @@ class MultiCastC(MultiCast):
         result.extras["slots_per_round"] = S
         return result
 
-    def run_batch(self, bnet) -> list:
-        """Lane-batched :meth:`run`: the Fig. 5 round simulation on every
-        lane at once.  The physical-to-virtual relabeling survives batching
-        unchanged — each lane's physical mask is drawn at its own clock and
-        the lane-stacked block folds per lane, because every lane contributes
-        ``rounds * S`` contiguous rows (a multiple of the fold group S)."""
-        from repro.core.batch import run_iterations_batch
-
-        S = self.slots_per_round
-        C_phys = self.C
-
-        def draw_jamming(lane_ids, rounds: int):
-            phys = bnet.draw_jamming(lane_ids, rounds * S, C_phys)
-            return phys.fold_rows(S)
-
-        results = run_iterations_batch(
-            self,
-            bnet,
-            first_index=self.start_iteration,
-            schedule=self._iteration_schedule,
-            make_extras=self._batch_extras,
-            slots_per_row=S,
-            draw_jamming=draw_jamming,
-        )
-        for result in results:
-            result.extras["physical_channels"] = C_phys
-            result.extras["slots_per_round"] = S
-        return results
-
     def run_stream(self, stream) -> list:
-        """Continuous-batching :meth:`run_batch`.  The relabeling survives
-        ragged merging too: each lane's chunk is ``rounds_l * S`` contiguous
-        physical rows (a multiple of the fold group S), folded per lane
+        """Lane-batched :meth:`run`: the Fig. 5 round simulation on every
+        trial of a :class:`repro.core.batch.LaneStream`.  The
+        physical-to-virtual relabeling survives ragged merging: each lane's
+        physical mask is drawn at its own clock as ``rounds_l * S``
+        contiguous rows (a multiple of the fold group S), folded per lane
         before stacking, so lane offsets in the virtual key space stay
         aligned whatever mix of round counts a pass carries."""
         from repro.core.batch import run_iterations_stream

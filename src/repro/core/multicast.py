@@ -103,23 +103,11 @@ class MultiCast:
             raise ValueError(f"network has n={net.n}, protocol built for n={self.n}")
         return _run_multicast_iterations(self, net, trace=trace)
 
-    def run_batch(self, bnet) -> list:
-        """Execute one broadcast per lane of a
-        :class:`repro.sim.engine.BatchNetwork` — bit-identical per lane to
-        :meth:`run` under the same seed (DESIGN.md section 6)."""
-        from repro.core.batch import run_iterations_batch
-
-        return run_iterations_batch(
-            self,
-            bnet,
-            first_index=self.start_iteration,
-            schedule=self._iteration_schedule,
-            make_extras=self._batch_extras,
-        )
-
     def run_stream(self, stream) -> list:
-        """Continuous-batching :meth:`run_batch`: the same per-trial results
-        through compacted/refilled lane slots (DESIGN.md section 13)."""
+        """Execute one broadcast per trial of a
+        :class:`repro.core.batch.LaneStream` — bit-identical per trial to
+        :meth:`run` under the same seed, through compacted/refilled lane
+        slots (DESIGN.md sections 6 and 13)."""
         from repro.core.batch import run_iterations_stream
 
         return run_iterations_stream(

@@ -196,21 +196,14 @@ class MultiCastAdv:
     HELPER_SILENCE_FACTOR = 0.9  #: N_s >= 0.9 R p
     HELPER_BEACON_CEIL = 2.2  #: N'_m <= 2.2 R p^2
 
-    #: Preferred trials per lane-batched kernel pass (consulted by
-    #: ``run_trials``/``run_trial_batch`` when no explicit width is given).
-    #: Purely a throughput knob — results are bit-identical at any width.
-    #: The Fig. 4/6 kernel's per-lane working set is tiny (laptop-scale n),
-    #: so amortizing per-block overhead across more lanes wins where the
-    #: n = 64 shared-coin kernel is cache-bound at width 2 (DESIGN.md 9.3,
-    #: measured in BENCH_adv_batch.json).
-    batch_lane_width = 8
-
-    #: Preferred width for the *continuously-refilled* stream driver
-    #: (``run_broadcast_stream``).  Lockstep blocks cap at 8 because a wide
-    #: fixed block ends up running its longest trial on a near-empty batch;
-    #: compaction refills freed slots, so the stream keeps wide batches
-    #: occupied and wins by merging more lanes per kernel pass (measured in
-    #: BENCH_adv_compaction.json; results are bit-identical at any width).
+    #: Preferred lane width (:func:`repro.core.batch.stream_width`).  Purely
+    #: a throughput knob — results are bit-identical at any width.  The
+    #: Fig. 4/6 kernel's per-lane working set is tiny (laptop-scale n), so
+    #: merging more lanes per kernel pass wins where the n = 64 shared-coin
+    #: kernel is cache-bound at width 2, and refill keeps a wide stream
+    #: occupied where a drained one would run its longest trial on a
+    #: near-empty batch (DESIGN.md 9.3 and 13.3, measured in
+    #: BENCH_adv_batch.json and BENCH_adv_compaction.json).
     stream_lane_width = 32
 
     def __init__(
@@ -343,17 +336,11 @@ class MultiCastAdv:
             },
         )
 
-    def run_batch(self, bnet) -> list:
-        """Execute one broadcast per lane of a
-        :class:`repro.sim.engine.BatchNetwork` — bit-identical per lane to
-        :meth:`run` under the same seed (DESIGN.md section 9)."""
-        from repro.core.adv_batch import run_adv_batch
-
-        return run_adv_batch(self, bnet)
-
     def run_stream(self, stream) -> list:
-        """Continuous-batching :meth:`run_batch`: trials retire and lane
-        slots refill at epoch boundaries (DESIGN.md section 13)."""
+        """Execute one broadcast per trial of a
+        :class:`repro.core.batch.LaneStream` — bit-identical per trial to
+        :meth:`run` under the same seed; trials retire and lane slots refill
+        at epoch boundaries (DESIGN.md sections 9 and 13)."""
         from repro.core.adv_batch import run_adv_stream
 
         return run_adv_stream(self, stream)

@@ -93,30 +93,12 @@ class MultiCastCore:
     def name(self) -> str:
         return "MultiCastCore"
 
-    def run_batch(self, bnet) -> list:
-        """Execute one broadcast per lane of a
-        :class:`repro.sim.engine.BatchNetwork` — bit-identical per lane to
-        :meth:`run` under the same seed (DESIGN.md section 6).  Fig. 1's
-        identical iterations make this the simplest batched schedule: every
-        iteration is (R, 1/64, R/128)."""
-        from repro.core.batch import run_iterations_batch
-
-        R = self.iteration_slots
-        return run_iterations_batch(
-            self,
-            bnet,
-            first_index=1,
-            schedule=lambda i: (R, self.LISTEN_PROB, R * self.NOISE_THRESHOLD),
-            make_extras=lambda iterations: {
-                "iteration_slots": R,
-                "num_channels": self.num_channels,
-                "provisioned_T": self.T,
-            },
-            count_at_entry=True,
-        )
-
     def run_stream(self, stream) -> list:
-        """Continuous-batching :meth:`run_batch` (DESIGN.md section 13)."""
+        """Execute one broadcast per trial of a
+        :class:`repro.core.batch.LaneStream` — bit-identical per trial to
+        :meth:`run` under the same seed (DESIGN.md sections 6 and 13).
+        Fig. 1's identical iterations make this the simplest batched
+        schedule: every iteration is (R, 1/64, R/128)."""
         from repro.core.batch import run_iterations_stream
 
         R = self.iteration_slots

@@ -57,7 +57,6 @@ from repro.exp.registry import (
     is_reactive_jammer,
     jammer_names,
     oblivious_jammer_names,
-    protocol_lane_width,
     protocol_names,
     reactive_jammer_names,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "jammer_names",
     "merge_shards",
     "oblivious_jammer_names",
-    "protocol_lane_width",
     "protocol_names",
     "quarantine_path",
     "reactive_jammer_names",

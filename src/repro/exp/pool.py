@@ -7,8 +7,8 @@ worker ran it or when:
 * :func:`run_campaign` runs :class:`~repro.exp.spec.CampaignSpec` trials
   either in-process (``workers=1`` — the determinism-test fallback, lane
   batched by default) or *sharded* across a ``ProcessPoolExecutor``: pending
-  trials are split into per-cell lane blocks of ``batch_lane_width *
-  STREAM_BLOCK_FACTOR`` trials, each worker runs its blocks as
+  trials are split into per-cell lane blocks of ``STREAM_BLOCK_FACTOR *
+  stream_width`` trials, each worker runs its blocks as
   continuously-refilled lane streams (compaction/refill, DESIGN.md
   section 13) and appends the finished records to its own
   ``<store>.shard-<k>.jsonl`` (single-writer per file, flushed per block),
@@ -51,11 +51,15 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.analysis.stats import DEFAULT_LANE_WIDTH
-from repro.core.batch import FallbackNotes, collect_fallback_notes, run_broadcast_stream
+from repro.core.batch import (
+    FallbackNotes,
+    collect_fallback_notes,
+    run_broadcast_stream,
+    stream_width,
+)
 from repro.core.result import run_broadcast
 from repro.exp.adaptive import AdaptiveController
-from repro.exp.registry import build_jammer, build_protocol, protocol_lane_width
+from repro.exp.registry import build_jammer, build_protocol
 from repro.exp.shard import merge_shards, shard_append, shard_path
 from repro.exp.spec import CampaignSpec, TrialSpec
 from repro.exp.store import ResultStore, TrialRecord
@@ -84,14 +88,8 @@ __all__ = [
     "default_workers",
 ]
 
-#: Trials per lane-batched kernel pass in the batched campaign backend (a
-#: cache/flush-granularity knob, not a semantic one — see run_trial_batch).
-#: One knob for the whole stack: ``repro.analysis.stats.DEFAULT_LANE_WIDTH``
-#: explains why it is small.
-LANE_WIDTH = DEFAULT_LANE_WIDTH
-
 #: Trials per lane slot in a sharded worker's block (``_lane_blocks``):
-#: blocks carry ``batch_lane_width * STREAM_BLOCK_FACTOR`` trials so the
+#: blocks carry ``STREAM_BLOCK_FACTOR * stream_width`` trials so the
 #: worker's lane stream has a pending queue to refill from — a freed slot
 #: picks up the next trial instead of waiting for the block's straggler.
 #: Larger factors amortize better but coarsen work-stealing granularity.
@@ -154,16 +152,12 @@ def run_trial_batch(
     one jammer, one n — the unit ``run_campaign`` groups by).  Yields records
     in spec order, streamed through ``lane_width`` continuously-refilled lane
     slots (:func:`repro.core.batch.run_broadcast_stream` — a spec whose
-    trial retires frees its slot for the next pending spec instead of
-    idling until a lockstep block drains), each record bit-identical to
-    ``run_trial(spec)`` except for ``wall_time``, which is apportioned
-    evenly across the stream's trials (the trials genuinely ran together;
-    only their total is physical).  ``lane_width=None`` (default) honors
-    the protocol's advertised ``stream_lane_width`` (falling back to
-    ``batch_lane_width``, then :data:`LANE_WIDTH`) — ``MultiCastAdv``
-    prefers wide streams since refill keeps wide batches occupied; neither
-    the width nor the refill schedule ever changes results, only
-    throughput.
+    trial retires frees its slot for the next pending spec), each record
+    bit-identical to ``run_trial(spec)`` except for ``wall_time``, which is
+    apportioned evenly across the stream's trials (the trials genuinely ran
+    together; only their total is physical).  ``lane_width=None`` (default)
+    takes the protocol's :func:`repro.core.batch.stream_width`; neither the
+    width nor the refill schedule ever changes results, only throughput.
     """
     specs = list(specs)
     if not specs:
@@ -171,17 +165,6 @@ def run_trial_batch(
     first = specs[0]
     if any(_cell_identity(s) != _cell_identity(first) for s in specs):
         raise ValueError("run_trial_batch specs must share one campaign cell")
-    if lane_width is None:
-        probe = build_protocol(
-            first.protocol, first.n, T=first.budget, C=first.channels,
-            knobs=first.protocol_knobs,
-        )
-        # streams prefer the wider stream_lane_width when advertised:
-        # refill keeps wide batches occupied (BENCH_adv_compaction.json)
-        lane_width = getattr(
-            probe, "stream_lane_width", getattr(probe, "batch_lane_width", LANE_WIDTH)
-        )
-    lane_width = max(1, int(lane_width))
     protocol = build_protocol(
         first.protocol, first.n, T=first.budget, C=first.channels,
         knobs=first.protocol_knobs,
@@ -237,23 +220,18 @@ def _ignore_sigint() -> None:
 def _lane_blocks(pending: Sequence[TrialSpec]) -> List[List[TrialSpec]]:
     """Split pending specs into per-cell lane blocks — the sharded unit of
     work.  Block size is :data:`STREAM_BLOCK_FACTOR` times the protocol's
-    advertised ``batch_lane_width`` (:data:`LANE_WIDTH` when it has none):
-    each worker runs its block as one continuously-refilled lane stream
-    (``run_trial_batch``), so a block carries several trials per slot to
-    give the stream a pending queue to compact over; the split never
-    crosses a cell boundary."""
+    :func:`~repro.core.batch.stream_width`, the width the worker streams
+    the block at (``run_trial_batch``), so every full block carries a
+    pending queue to compact over; the split never crosses a cell
+    boundary."""
     blocks: List[List[TrialSpec]] = []
     for group in _group_by_cell(pending):
         first = group[0]
-        width = protocol_lane_width(
-            first.protocol,
-            first.n,
-            T=first.budget,
-            C=first.channels,
+        probe = build_protocol(
+            first.protocol, first.n, T=first.budget, C=first.channels,
             knobs=first.protocol_knobs,
-            default=LANE_WIDTH,
         )
-        size = max(1, int(width)) * STREAM_BLOCK_FACTOR
+        size = STREAM_BLOCK_FACTOR * stream_width(probe)
         for start in range(0, len(group), size):
             blocks.append(group[start : start + size])
     return blocks

@@ -64,7 +64,6 @@ __all__ = [
     "canonical_jammer",
     "build_protocol",
     "build_jammer",
-    "protocol_lane_width",
 ]
 
 #: MultiCastAdv laptop-scale profile shared by the CLI and campaigns
@@ -286,26 +285,6 @@ def build_protocol(
     """
     entry = _PROTOCOLS[canonical_protocol(name)]
     return entry.build(int(n), int(T), C, dict(knobs or {}))
-
-
-def protocol_lane_width(
-    name: str,
-    n: int,
-    *,
-    T: int = 0,
-    C: Optional[int] = None,
-    knobs: Optional[dict] = None,
-    default: Optional[int] = None,
-):
-    """A protocol's advertised ``batch_lane_width``, by registry name.
-
-    Builds a throwaway probe (protocol construction is cheap and stateless)
-    so schedulers — the campaign runner sizing per-worker lane blocks, the
-    trial loop sizing kernel passes — can read the width without keeping the
-    object.  ``default`` is returned when the protocol advertises nothing.
-    """
-    probe = build_protocol(name, n, T=T, C=C, knobs=knobs)
-    return getattr(probe, "batch_lane_width", default)
 
 
 def build_jammer(

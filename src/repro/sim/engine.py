@@ -170,7 +170,9 @@ class RadioNetwork:
 
 
 class BatchNetwork:
-    """``B`` independent :class:`RadioNetwork` executions driven in lockstep.
+    """``B`` independent :class:`RadioNetwork` executions: the lanes of a
+    :class:`repro.core.batch.LaneStream` (or of a Decay/Naive lockstep
+    ``run_batch``).
 
     One lane = one seeded trial: its own node generator, its own adversary
     instance, its own clock, and its own column set in a

@@ -2,22 +2,25 @@
 
 The continuous-batching contract (DESIGN.md section 13): each trial's full
 result row is a pure function of its (seed, adversary, max_slots) — running
-it through one lane slot or eight, through lockstep fixed blocks or
-compacted/refilled stream slots, serially or sharded, must produce the
-byte-identical :class:`~repro.core.result.BroadcastResult`.  Not
-statistically close: equal.
+it through one lane slot or eight, through drained streams (as wide as
+their trial lists, so nothing refills) or compacted/refilled stream slots,
+serially or sharded, must produce the byte-identical
+:class:`~repro.core.result.BroadcastResult`.  Not statistically close:
+equal.
 
 Structure
 ---------
-* The fast subset (tier-1) pins every streaming protocol against the
-  fixed-lane path across widths {1, 2, 8} under *staggered* per-trial slot
-  caps — the workload compaction exists for, with refills guaranteed on
-  every multi-slot width — plus direct scalar cross-checks, the
-  ``run_trials`` backend triangle, the stream-entry fallback for protocols
-  without a ``run_stream``, and a serial-vs-sharded campaign identity.
+* The fast subset (tier-1) pins every streaming protocol against drained
+  two-trial batches across widths {1, 2, 8} under *staggered* per-trial
+  slot caps — the workload compaction exists for, with refills guaranteed
+  on every multi-slot width — plus direct scalar cross-checks, the
+  ``run_trials`` stream-vs-scalar identity, the stream-entry fallback for
+  protocols without a ``run_stream``, and a serial-vs-sharded campaign
+  identity.
 * The full protocol × oblivious-jammer matrix runs behind the ``slow``
-  marker (the fixed path itself is pinned bit-identical to scalar per lane
-  by ``test_batch_equivalence.py``, so fixed is a sound reference here).
+  marker (drained batches are themselves pinned bit-identical to scalar
+  per lane by ``test_batch_equivalence.py``, so they are a sound reference
+  here).
 """
 
 import numpy as np
@@ -49,8 +52,9 @@ STREAMING_PROTOCOLS = {
     "adv_c": lambda: build_protocol("adv_c", N, C=2, knobs=ADV_FAST),
 }
 
-#: batched (or scalar-only) protocols *without* a run_stream: the stream
-#: entry point must route them through its fixed-block fallback unchanged
+#: the baselines: decay/naive have no run_stream, so the stream entry
+#: point runs them in width-sized groups through their run_batch; the
+#: single-channel stand-in streams (it is a MultiCastC)
 STREAMLESS_PROTOCOLS = {
     "decay": lambda: build_protocol("decay", N),
     "naive": lambda: build_protocol("naive", N),
@@ -89,8 +93,9 @@ def jammers_for(jammer_name, count):
 
 
 def fixed_reference(factory, jammer_name, *, chunk=2):
-    """The lockstep fixed-lane rows (pinned == scalar by the equivalence
-    suite), chunked so the reference itself exercises multi-block caps."""
+    """Rows of drained ``run_broadcast_batch`` chunks (pinned == scalar by
+    the equivalence suite), chunked so the reference itself exercises
+    multi-block caps."""
     advs = jammers_for(jammer_name, len(SEEDS))
     rows = []
     for k in range(0, len(SEEDS), chunk):
@@ -109,8 +114,8 @@ def fixed_reference(factory, jammer_name, *, chunk=2):
 @pytest.mark.parametrize("protocol_name", sorted(STREAMING_PROTOCOLS))
 def test_stream_invariant_across_widths_and_refills(protocol_name):
     """Every width — including width 1 (pure serial through one slot) and
-    width 8 (everything in flight at once) — reproduces the fixed-lane rows
-    exactly, refills and all."""
+    width 8 (everything in flight at once) — reproduces the drained-batch
+    rows exactly, refills and all."""
     factory = STREAMING_PROTOCOLS[protocol_name]
     reference = fixed_reference(factory, "blanket")
     for width in WIDTHS:
@@ -129,8 +134,8 @@ def test_stream_invariant_across_widths_and_refills(protocol_name):
 
 @pytest.mark.parametrize("protocol_name", sorted(STREAMING_PROTOCOLS))
 def test_stream_matches_scalar_directly(protocol_name):
-    """Spot cross-check against the scalar engine itself (not via the fixed
-    path): one full run and one cap-truncated run per protocol."""
+    """Spot cross-check against the scalar engine itself (not via drained
+    batches): one full run and one cap-truncated run per protocol."""
     factory = STREAMING_PROTOCOLS[protocol_name]
     seeds, caps = SEEDS[:2], [BIG, 16]
     got = run_broadcast_stream(
@@ -155,8 +160,8 @@ def test_stream_matches_scalar_directly(protocol_name):
 @pytest.mark.parametrize("protocol_name", sorted(STREAMLESS_PROTOCOLS))
 def test_streamless_protocols_fall_back_unchanged(protocol_name):
     """A protocol without run_stream routed through the stream entry point
-    produces the fixed path's rows (including the scalar-fallback stamping
-    for protocols without run_batch)."""
+    produces the drained-batch rows (including the scalar-fallback stamping
+    for protocols with neither run_stream nor run_batch)."""
     factory = STREAMLESS_PROTOCOLS[protocol_name]
     seeds = SEEDS[:4]
     advs = jammers_for("blanket", 4)
@@ -179,8 +184,8 @@ def test_streamless_protocols_fall_back_unchanged(protocol_name):
 
 
 def test_run_trials_backends_agree():
-    """The stats-layer backend triangle: auto (stream), fixed (lockstep) and
-    scalar all yield the identical TrialBatch."""
+    """The stats-layer backends: batched (stream) and scalar yield the
+    identical TrialBatch."""
     from repro.analysis.stats import run_trials
 
     def batch(backend):
@@ -194,12 +199,9 @@ def test_run_trials_backends_agree():
             backend=backend,
         )
 
-    stream, fixed, scalar = batch("batched"), batch("fixed"), batch("scalar")
-    assert len(stream.results) == len(fixed.results) == len(scalar.results) == 5
-    for t, (s, f, sc) in enumerate(
-        zip(stream.results, fixed.results, scalar.results)
-    ):
-        assert_rows_equal(s, f, ("run_trials", "stream-vs-fixed", f"trial={t}"))
+    stream, scalar = batch("batched"), batch("scalar")
+    assert len(stream.results) == len(scalar.results) == 5
+    for t, (s, sc) in enumerate(zip(stream.results, scalar.results)):
         assert_rows_equal(s, sc, ("run_trials", "stream-vs-scalar", f"trial={t}"))
 
 
@@ -232,7 +234,7 @@ def test_campaign_serial_vs_sharded_stream(tmp_path, monkeypatch):
 @pytest.mark.parametrize("protocol_name", sorted(STREAMING_PROTOCOLS))
 def test_full_matrix_stream_matches_fixed(protocol_name, jammer_name):
     """The full protocol × oblivious-jammer matrix, widths 1/2/8 with
-    staggered caps, against the fixed path (itself pinned == scalar)."""
+    staggered caps, against drained batches (themselves pinned == scalar)."""
     factory = STREAMING_PROTOCOLS[protocol_name]
     reference = fixed_reference(factory, jammer_name, chunk=3)
     for width in WIDTHS:

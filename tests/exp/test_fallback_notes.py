@@ -2,10 +2,11 @@
 per lane pass.
 
 ``run_broadcast_batch`` warns on stderr when lanes run the scalar block
-engine instead of batching (protocol without ``run_batch``, or a mixed
-reactive/oblivious batch).  A campaign pushes one batch call per kernel pass,
-so the naive warning repeated once per pass; the fix collects the counts in a
-campaign-scoped :class:`FallbackNotes` and emits one summary line per cause.
+engine instead of batching (protocol with neither ``run_stream`` nor
+``run_batch``, or a mixed reactive/oblivious batch).  A campaign pushes one
+batch call per kernel pass, so the naive warning repeated once per pass; the
+fix collects the counts in a campaign-scoped :class:`FallbackNotes` and
+emits one summary line per cause.
 These tests run serially (``workers=1``) so the monkeypatched protocol class
 is visible to the execution path.
 """
@@ -24,10 +25,9 @@ from repro.exp import CampaignSpec, ResultStore, run_campaign
 
 @pytest.fixture
 def batchless_multicast(monkeypatch):
-    """MultiCast with both lane kernels hidden: every lane scalar-falls-back
-    (a streamless protocol first falls back to fixed blocks, which then
-    dispatch per lane)."""
-    monkeypatch.delattr(MultiCast, "run_batch")
+    """MultiCast with its lane kernel hidden: every lane scalar-falls-back
+    (a streamless protocol runs in width-sized groups, which then dispatch
+    per lane)."""
     monkeypatch.delattr(MultiCast, "run_stream")
 
 
@@ -83,7 +83,9 @@ class TestFallbackNotes:
             for seed in (0, 1, 2):
                 run_broadcast_batch(MultiCast(16), 16, None, [seed, seed + 10])
         assert capsys.readouterr().err == ""
-        assert notes.counts[("MultiCast", "has no run_batch")] == [6, 3]
+        assert notes.counts[
+            ("MultiCast", "has neither run_stream nor run_batch")
+        ] == [6, 3]
 
     def test_campaign_warns_once_with_the_full_count(
         self, batchless_multicast, capsys
@@ -103,7 +105,7 @@ class TestFallbackNotes:
     def test_fallback_results_identical_to_batched(self, monkeypatch, capsys):
         campaign = fallback_campaign(trials=4)
         batched = run_campaign(campaign, ResultStore(None), workers=1)
-        monkeypatch.delattr(MultiCast, "run_batch")
+        monkeypatch.delattr(MultiCast, "run_stream")
         fell_back = run_campaign(campaign, ResultStore(None), workers=1)
 
         def strip(records):

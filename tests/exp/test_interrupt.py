@@ -22,9 +22,9 @@ import time
 
 import pytest
 
-# enough trials for several lane blocks per worker (blocks now carry
-# batch_lane_width * STREAM_BLOCK_FACTOR = 8 trials each), so the first
-# flushed block still leaves the campaign mid-flight to interrupt
+# enough trials for several lane blocks per worker (blocks carry
+# STREAM_BLOCK_FACTOR * stream_width = 4 * 2 = 8 multicast trials each), so
+# the first flushed block still leaves the campaign mid-flight to interrupt
 TRIALS = 48
 CMD_TAIL = [
     "-m", "repro", "sweep",

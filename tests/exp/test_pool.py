@@ -16,6 +16,9 @@ from repro.exp import (
     run_trial_batch,
 )
 from repro import BlanketJammer, MultiCast
+from repro.core.batch import stream_width
+from repro.exp.pool import STREAM_BLOCK_FACTOR, _lane_blocks
+from repro.exp.registry import build_protocol, protocol_names
 
 
 def small_campaign(**overrides):
@@ -182,32 +185,31 @@ class TestBatchedBackend:
             )
 
     def test_lane_width_defaults_to_protocol_preference(self, monkeypatch):
-        """With no explicit lane_width, run_trial_batch honors the built
-        protocol's advertised stream_lane_width (MultiCastAdv streams wide
-        because refill keeps wide batches occupied) and falls back to the
-        module LANE_WIDTH otherwise — a throughput knob only, so asserting
-        the stream dispatch suffices."""
-        import repro.exp.pool as pool
+        """With no explicit lane_width, run_trial_batch streams at the
+        protocol's stream_width: MultiCastAdv's advertised 32 (capped by the
+        3 pending trials), the default 2 otherwise — a throughput knob
+        only, so asserting the width the stream ran at suffices."""
+        import repro.core.batch as batch
 
-        calls = []
-        real = pool.run_broadcast_stream
+        widths = []
 
-        def spy(protocol, n, adversaries, seeds, **kw):
-            calls.append((len(seeds), kw.get("lane_width")))
-            return real(protocol, n, adversaries, seeds, **kw)
+        class RecordingStream(batch.LaneStream):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                widths.append((len(self.trials), self.width))
 
-        monkeypatch.setattr(pool, "run_broadcast_stream", spy)
+        monkeypatch.setattr(batch, "LaneStream", RecordingStream)
         adv = small_campaign(
             protocols=["adv"], jammers=["none"], trials=3, budget=0,
             protocol_knobs={"adv": {"b": 0.01, "max_epochs": 2}},
         ).trial_specs()
         list(run_trial_batch(adv))
-        # one stream over all pending specs; preference 32 caps at 3 inside
-        assert calls == [(3, 32)]
-        calls.clear()
+        # one stream over all pending specs, every trial in flight at once
+        assert widths == [(3, 3)]
+        widths.clear()
         mc = small_campaign(protocols=["multicast"], jammers=["none"], trials=3).trial_specs()
         list(run_trial_batch(mc))
-        assert calls == [(3, 2)]  # DEFAULT_LANE_WIDTH = 2 slots
+        assert widths == [(3, 2)]  # DEFAULT_LANE_WIDTH = 2 slots
 
     def test_run_trial_batch_rejects_mixed_cells(self):
         mixed = small_campaign(protocols=["multicast", "core"], trials=1).trial_specs()
@@ -234,3 +236,22 @@ class TestBatchedBackend:
         )
         assert ran == []
         assert aggregate_bytes(again) == aggregate_bytes(full)
+
+
+class TestLaneBlocks:
+    """The sharded block rule: a worker's block holds STREAM_BLOCK_FACTOR
+    times the width it is streamed at, so every full block has a pending
+    queue for freed lane slots to refill from."""
+
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_full_blocks_exceed_the_stream_width(self, name):
+        width = stream_width(build_protocol(name, 8, T=1000, C=2))
+        size = STREAM_BLOCK_FACTOR * width
+        specs = small_campaign(
+            protocols=[name], jammers=["none"], ns=[8], budget=1000,
+            channels=2, trials=2 * size + 1,
+        ).trial_specs()
+        blocks = _lane_blocks(specs)
+        assert [len(block) for block in blocks] == [size, size, 1]
+        assert size > width
+        assert [spec for block in blocks for spec in block] == specs

@@ -89,10 +89,9 @@ def test_sharded_telemetry_merges_worker_events(tmp_path):
 def test_fallback_notes_appear_exactly_once_in_merged_telemetry(
     tmp_path, monkeypatch
 ):
-    # MultiCast with both lane kernels hidden: every lane in every worker
+    # MultiCast with its lane kernel hidden: every lane in every worker
     # runs the scalar fallback (forked workers inherit the patch), which
     # FallbackNotes tallies campaign-wide
-    monkeypatch.delattr(MultiCast, "run_batch")
     monkeypatch.delattr(MultiCast, "run_stream")
     spec = campaign(["blanket"])
     on = run(tmp_path, "notes", spec, workers=3, telemetry=True)
@@ -100,7 +99,7 @@ def test_fallback_notes_appear_exactly_once_in_merged_telemetry(
     note_events = [r for r in rows if r["event"] == "fallback_notes"]
     assert len(note_events) == 1
     (note,) = note_events[0]["notes"]
-    assert note["reason"] == "has no run_batch"
+    assert note["reason"] == "has neither run_stream nor run_batch"
     assert note["lanes"] == len(spec)
     # the fallback-lane counter made it into the parent summary too
     (summary,) = [r for r in rows if r["event"] == "summary"]

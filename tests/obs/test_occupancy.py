@@ -72,8 +72,7 @@ class TestUnguardedLaneCounters:
 
 class TestFallbackAccounting:
     def test_fallback_lanes_counted_and_stamped(self, monkeypatch, capsys):
-        # hide both lane kernels: every lane scalar-falls-back
-        monkeypatch.delattr(MultiCast, "run_batch")
+        # hide the lane kernel: every lane scalar-falls-back
         monkeypatch.delattr(MultiCast, "run_stream")
 
         def run():
@@ -92,8 +91,8 @@ class TestFallbackAccounting:
 
     @pytest.mark.parametrize("name", ["naive", "decay"])
     def test_bespoke_run_batch_protocols_book_their_lanes(self, name):
-        """naive/decay batch through their own drivers, not
-        run_iterations_batch — their lanes must still land in batch.lanes."""
+        """naive/decay batch through their own run_batch, not
+        run_iterations_stream — their lanes must still land in batch.lanes."""
         counters = counters_for(
             lambda: run_broadcast_stream(
                 build_protocol(name, N), N, jammers(3), [3, 7, 11], lane_width=2

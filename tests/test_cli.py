@@ -54,6 +54,42 @@ class TestCommands:
         assert rc == 0
         assert "Eve's spend" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "protocol, jammer, budget, max_slots",
+        # the adv run is cut at 400k slots (of ~5.5M) to stay sub-second
+        [("adv", "blanket", 2_000, 400_000), ("multicast", "sniper", 5_000, 200_000_000)],
+    )
+    def test_run_table_matches_run_broadcast(
+        self, protocol, jammer, budget, max_slots, capsys
+    ):
+        """`run` goes through the lane dispatcher (the adv stream kernel,
+        the windowed arena for sniper); its table must equal the one built
+        from the scalar run_broadcast of the same trial."""
+        from repro import run_broadcast
+        from repro.analysis import render_table
+        from repro.cli import _result_rows
+
+        rc = main(
+            [
+                "run", "--protocol", protocol, "--n", "8", "--jammer", jammer,
+                "--budget", str(budget), "--seed", "3",
+                "--max-slots", str(max_slots),
+            ]
+        )
+        out = capsys.readouterr().out
+        reference = run_broadcast(
+            make_protocol(protocol, 8, T=budget),
+            8,
+            adversary=make_jammer(jammer, budget, seed=4, n=8),
+            seed=3,
+            max_slots=max_slots,
+        )
+        expected = render_table(
+            ["metric", "value"], _result_rows(reference), title=str(reference.protocol)
+        )
+        assert out == expected + "\n"
+        assert rc == (0 if reference.success else 1)
+
     def test_channels_sweep(self, capsys):
         rc = main(["channels", "--n", "16", "--budget", "5000", "--seed", "2"])
         out = capsys.readouterr().out
