@@ -43,8 +43,11 @@ run core_scaling_T1600000 core_scaling
 WORKERS=1 run adv_unjammed adv_unjammed
 # jammed MultiCastAdvC across channel caps (EXPERIMENTS.md section 11,
 # Thm 7.2) — the first committed jammed unknown-n campaign, feasible only
-# on the batched Fig. 4/6 kernel (DESIGN.md section 9), which WORKERS=1
-# selects automatically
+# on the batched Fig. 4/6 kernel (DESIGN.md section 9).  Serial and
+# sharded runs use that same LaneStream kernel; the MultiCastAdv campaigns
+# run with WORKERS=1 because each one's cost sits in its n = 32 cell, whose
+# 5 trials (3 for adv_unjammed) form one lane block that sharding cannot
+# split — a second worker could only overlap the small n = 8 and 16 cells
 WORKERS=1 run limited_adv_C2 limited_adv
 WORKERS=1 run limited_adv_C4 limited_adv
 WORKERS=1 run limited_adv_C8 limited_adv

@@ -10,18 +10,24 @@ axis.  This module is the DESIGN.md section 9 kernel:
   listen, informed -> broadcast ``m``), so the kernel extracts the ~``pKn``
   participating ``(lane, row, node)`` triples once and resolves the
   "uninformed node heard m" events as a per-lane earliest-event loop over
-  sorted cell keys — the exact fixed point of the scalar tail re-resolution
-  in :func:`repro.core.runner.spread_block`, without materializing
-  ``(L, K, n)`` action or feedback matrices.  Once dissemination completes
-  (the steady state of every run) there are no listeners and the block
-  reduces to one send-count ``bincount``.
+  the hits' cell grouping — the exact fixed point of the scalar tail
+  re-resolution in :func:`repro.core.runner.spread_block`, without
+  materializing ``(L, K, n)`` action or feedback matrices.
+* :func:`_quiet_send_counts` — step I for *quiet* lanes, whose block-entry
+  statuses leave no active node uninformed (the steady state once
+  dissemination completes).  With no possible listener, channels and
+  jamming change nothing: the block reduces to one send-count
+  ``bincount``, and the driver skips the lane's channel words
+  (:meth:`repro.sim.engine.BatchNetwork.skip_channels_ragged`) instead of
+  drawing them.
 * :func:`_adv_step_two_ragged` — step II (status adjustment).  Statuses are
   frozen for the whole step, so the four counters N_m, N'_m, N_n, N_s are a
   pure function of the draws and the jam mask: one participant extraction,
-  one sorted-key broadcaster count per payload (``m`` vs the beacon ``±``),
-  one jam lookup, four ``bincount`` reductions — the sparse analogue of the
-  3-D ``resolve_block`` + ``count_feedback`` pass, vectorized across lanes
-  *and* across the R(i, j) slots of the phase.
+  one cell grouping with two broadcaster counts (all payloads, and ``m``;
+  the beacon ``±`` count is their difference), one jam lookup, and one
+  ``bincount`` over (node, outcome) keys for all four counters — the
+  sparse analogue of the 3-D ``resolve_block`` + ``count_feedback`` pass,
+  vectorized across lanes *and* across the R(i, j) slots of the phase.
 * :func:`run_adv_stream` — the epoch/phase driver over a
   :class:`repro.core.batch.LaneStream`, mirroring
   :meth:`repro.core.multicast_adv.MultiCastAdv.run` per trial, with the
@@ -35,8 +41,10 @@ Determinism contract (DESIGN.md section 9, enforced by
 ``tests/core/test_batch_equivalence.py``): every trial is **bit-identical**
 to ``run_broadcast(proto, n, adversary, seed=seed)`` — same draw order (per
 block: one ``(K, n)`` channel draw then one ``(K, n)`` coin draw,
-``K = min(block_slots, remaining)``, from the lane's own generator), same
-slots, statuses, event slots, energy books, periods and extras.
+``K = min(block_slots, remaining)``, from the lane's own generator; a
+quiet lane's skip leaves its generator exactly where the channel draw
+would), same slots, statuses, event slots, energy books, periods and
+extras.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from repro.core.multicast_adv import (
     STATUS_UN,
     apply_phase_checks,
 )
-from repro.core.batch import _participants
+from repro.core.batch import _cell_groups, _hits, _participants
 from repro.core.result import BroadcastResult
 
 __all__ = ["run_adv_stream"]
@@ -84,23 +92,6 @@ def _ragged_jam_keys(blocks, offsets: np.ndarray, Cmax: int) -> np.ndarray:
     if not parts:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate(parts)
-
-
-def _counts_by_node(lane: np.ndarray, node: np.ndarray, mask: np.ndarray,
-                    L: int, n: int) -> np.ndarray:
-    """``(L, n)`` occurrence counts of the masked hits."""
-    return np.bincount(
-        (lane[mask] * n + node[mask]), minlength=L * n
-    ).reshape(L, n)
-
-
-def _count_at(sorted_cells: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """How many entries of the sorted key array equal each query key."""
-    if not sorted_cells.size:
-        return np.zeros(query.shape[0], dtype=np.int64)
-    lo = np.searchsorted(sorted_cells, query, side="left")
-    hi = np.searchsorted(sorted_cells, query, side="right")
-    return hi - lo
 
 
 def _adv_step_one_ragged(
@@ -144,6 +135,7 @@ def _adv_step_one_ragged(
     flat, lane, row, node, cell = _participants(
         coins, channels, active, p, offsets, Cmax
     )
+    gid, G = _cell_groups(cell)
     jam_at = _member_keys(jam_keys, cell)
 
     # sentinel informing row: larger than any lane-local row in this block
@@ -155,8 +147,8 @@ def _adv_step_one_ragged(
         listeners = (inf_at_hit == NEVER) & (row > frontier[lane])
         if not listeners.any():
             break
-        send_cells = np.sort(cell[row > inf_at_hit])
-        heard = (_count_at(send_cells, cell[listeners]) == 1) & ~jam_at[listeners]
+        senders = np.bincount(gid[row > inf_at_hit], minlength=G)
+        heard = (senders[gid[listeners]] == 1) & ~jam_at[listeners]
         if not heard.any():
             break
         h_idx = np.nonzero(listeners)[0][heard]
@@ -178,9 +170,22 @@ def _adv_step_one_ragged(
         )
 
     sends = row > informing_row[lane, node]
-    send_counts = _counts_by_node(lane, node, sends, L, n)
-    listen_counts = _counts_by_node(lane, node, ~sends, L, n)
+    node_key = lane * n + node
+    send_counts = np.bincount(node_key[sends], minlength=L * n).reshape(L, n)
+    listen_counts = np.bincount(node_key, minlength=L * n).reshape(L, n) - send_counts
     return listen_counts, send_counts, informing_row < NEVER
+
+
+def _quiet_send_counts(
+    coins: np.ndarray, offsets: np.ndarray, p: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """``(L, n)`` send counts of quiet step-I lanes — lanes with no active
+    uninformed node, where every hit broadcasts ``m``: per active node, the
+    rows of its lane whose coin clears ``p``.  Ragged lane-major ``coins``
+    as in :func:`_adv_step_one_ragged`; no channels needed."""
+    L, n = active.shape
+    _, _, lane, node = _hits(coins, active, p, offsets)
+    return np.bincount(lane * n + node, minlength=L * n).reshape(L, n)
 
 
 def _adv_step_two_ragged(
@@ -211,32 +216,28 @@ def _adv_step_two_ragged(
         coins, channels, active, 2.0 * p, offsets, Cmax
     )
     is_listen = coins.ravel()[flat] < p[lane]
-    listen_counts = _counts_by_node(lane, node, is_listen, L, n)
-    send_counts = _counts_by_node(lane, node, ~is_listen, L, n)
+    node_key = lane * n + node
+    listen_key = node_key[is_listen]
+    listen_counts = np.bincount(listen_key, minlength=L * n).reshape(L, n)
+    send_counts = np.bincount(node_key, minlength=L * n).reshape(L, n) - listen_counts
 
-    sender_informed = informed[lane, node] & ~is_listen
-    sender_beacon = ~informed[lane, node] & ~is_listen
-    msg_cells = np.sort(cell[sender_informed])
-    beacon_cells = np.sort(cell[sender_beacon])
-
-    lcell = cell[is_listen]
-    msg = _count_at(msg_cells, lcell)
-    beacon = _count_at(beacon_cells, lcell)
-    total = msg + beacon
-    noisy = _member_keys(jam_keys, lcell) | (total >= 2)
-    got_msg = ~noisy & (total == 1) & (msg == 1)
-    got_beacon = ~noisy & (total == 1) & (beacon == 1)
-    silent = ~noisy & (total == 0)
-
-    l_lane = lane[is_listen]
-    l_node = node[is_listen]
-    n_m = _counts_by_node(l_lane, l_node, got_msg, L, n)
-    n_beacon = _counts_by_node(l_lane, l_node, got_beacon, L, n)
+    # broadcasters per listened cell, all payloads and ``m`` only (the
+    # rest send the beacon)
+    gid, G = _cell_groups(cell)
+    is_send = ~is_listen
+    lgid = gid[is_listen]
+    total = np.bincount(gid[is_send], minlength=G)[lgid]
+    msg = np.bincount(gid[is_send & informed[lane, node]], minlength=G)[lgid]
+    noisy = _member_keys(jam_keys, cell[is_listen]) | (total >= 2)
+    # each listen hears exactly one of m (0), the beacon (1), noise (2) or
+    # silence (3): one bincount over (node, outcome) keys
+    outcome = np.where(noisy, 2, np.where(total == 0, 3, 1 - msg))
+    heard = np.bincount(listen_key * 4 + outcome, minlength=4 * L * n).reshape(L, n, 4)
     counters = {
-        "msg": n_m,
-        "msg_or_beacon": n_m + n_beacon,
-        "noise": _counts_by_node(l_lane, l_node, noisy, L, n),
-        "silence": _counts_by_node(l_lane, l_node, silent, L, n),
+        "msg": heard[..., 0],
+        "msg_or_beacon": heard[..., 0] + heard[..., 1],
+        "noise": heard[..., 2],
+        "silence": heard[..., 3],
     }
     return listen_counts, send_counts, counters
 
@@ -249,7 +250,9 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
     step) position and remaining-slot count, every pass merges the occupied
     slots of a step into one ragged kernel call (per-lane row counts, listen
     probabilities *and channel counts* — step partitioning keeps the two
-    kernels' distinct event semantics), and a slot that retires — halted at
+    kernels' distinct event semantics; a step-I pass resolves its quiet
+    lanes, which have no possible listener, apart and commits them with the
+    rest), and a slot that retires — halted at
     an epoch boundary, overrun mid-phase, or out of epochs — is refilled
     from the stream's pending queue instead of idling until the batch
     drains.  Lanes retire mid-epoch only on overrun (matching the scalar
@@ -437,28 +440,62 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                 continue
             Ks = np.minimum(proto.block_slots, remaining[lane_ids])
             Cs = C_arr[lane_ids]
-            Cmax = int(Cs.max())
-            channels = bnet.draw_channels_ragged(lane_ids, Ks, Cs)
-            coins = bnet.draw_coins_ragged(lane_ids, Ks)
+            # A quiet step-I lane has no active uninformed node at block
+            # entry, hence no listener, so neither its channels nor its
+            # jamming can change an outcome: it skips its channel words and
+            # the cell work (DESIGN.md section 9.2).  The other ("loud")
+            # lanes run the kernel; both commit together below.
+            quiet = np.zeros(lane_ids.size, dtype=bool)
+            if step_val == 1:
+                quiet = ~(ph_active[lane_ids] & ~ph_informed[lane_ids]).any(axis=1)
+            loud = ~quiet
+            loud_ids, quiet_ids = lane_ids[loud], lane_ids[quiet]
+            if loud_ids.size:
+                channels = bnet.draw_channels_ragged(loud_ids, Ks[loud], Cs[loud])
+                coins = bnet.draw_coins_ragged(loud_ids, Ks[loud])
+            if quiet_ids.size:
+                bnet.skip_channels_ragged(quiet_ids, Ks[quiet], Cs[quiet])
+                quiet_coins = bnet.draw_coins_ragged(quiet_ids, Ks[quiet])
+            # every lane's adversary is still queried and charged: Eve's
+            # spend and her generator are part of the trial
             blocks = bnet.draw_jamming_ragged(lane_ids, Ks, Cs)
-            offsets = np.concatenate(([0], np.cumsum(Ks)))
-            jam_keys = _ragged_jam_keys(blocks, offsets, Cmax)
+            if loud_ids.size:
+                offsets = np.concatenate(([0], np.cumsum(Ks[loud])))
+                Cmax = int(Cs[loud].max())
+                jam_keys = _ragged_jam_keys(
+                    [blocks[k] for k in np.flatnonzero(loud)], offsets, Cmax
+                )
             if tel is not None:
                 t0 = time.perf_counter()
             if step_val == 1:
-                sub_slot = informed_slot[lane_ids]
-                listen_counts, send_counts, new_informed = _adv_step_one_ragged(
-                    channels,
-                    coins,
-                    jam_keys,
-                    offsets,
-                    p_arr[lane_ids],
-                    Cmax,
-                    ph_informed[lane_ids],
-                    ph_active[lane_ids],
-                    slot0=bnet.clocks[lane_ids],
-                    informed_slot=sub_slot,
-                )
+                listen_counts = np.zeros((lane_ids.size, n), dtype=np.int64)
+                send_counts = np.zeros_like(listen_counts)
+                new_informed = ph_informed[lane_ids]
+                sub_slot = informed_slot[loud_ids]
+                if loud_ids.size:
+                    (
+                        listen_counts[loud],
+                        send_counts[loud],
+                        new_informed[loud],
+                    ) = _adv_step_one_ragged(
+                        channels,
+                        coins,
+                        jam_keys,
+                        offsets,
+                        p_arr[loud_ids],
+                        Cmax,
+                        ph_informed[loud_ids],
+                        ph_active[loud_ids],
+                        slot0=bnet.clocks[loud_ids],
+                        informed_slot=sub_slot,
+                    )
+                if quiet_ids.size:
+                    send_counts[quiet] = _quiet_send_counts(
+                        quiet_coins,
+                        np.concatenate(([0], np.cumsum(Ks[quiet]))),
+                        p_arr[quiet_ids],
+                        ph_active[quiet_ids],
+                    )
             else:
                 listen_counts, send_counts, counters = _adv_step_two_ragged(
                     channels,
@@ -475,12 +512,14 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                 tel.count("adv_batch.kernel_passes")
                 tel.observe("adv_batch.occupancy", int(lane_ids.size))
                 tel.count("adv_batch.lane_passes", int(lane_ids.size))
+                if quiet_ids.size:
+                    tel.count("adv_batch.quiet_lane_blocks", int(quiet_ids.size))
                 if lane_ids.size == 1 and W > 1:
                     tel.count("adv_batch.solo_slots", int(Ks[0]))
             overrun = bnet.commit_counts_ragged(lane_ids, listen_counts, send_counts, Ks)
             if step_val == 1:
                 # adopted even on overrun, like the scalar path
-                informed_slot[lane_ids] = sub_slot
+                informed_slot[loud_ids] = sub_slot
             keep = ~overrun
             live = lane_ids[keep]
             remaining[live] -= Ks[keep]

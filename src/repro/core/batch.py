@@ -76,6 +76,38 @@ DEFAULT_LANE_WIDTH = 2
 IterationSchedule = Callable[[int], Tuple[int, float, float]]
 
 
+def _hits(
+    coins: np.ndarray,
+    active: np.ndarray,
+    threshold: np.ndarray,
+    offsets: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """The ``(flat, grow, lane, node)`` coordinates of the coins of a ragged
+    lane-major ``(T, n)`` block that clear their lane's ``threshold``,
+    halted nodes (``~active``) dropped, in flat (lane, row, node) order;
+    ``grow`` is the global (concatenated) row.
+
+    The compare is one scalar-threshold ``np.less`` per run of consecutive
+    lanes sharing a threshold — lanes at the same schedule point form one
+    run — and halted nodes are dropped from the sparse hits rather than
+    masked over the dense block."""
+    T, n = coins.shape
+    L = offsets.size - 1
+    hit = np.empty((T, n), dtype=bool)
+    cuts = np.flatnonzero(threshold[1:] != threshold[:-1]) + 1
+    firsts = np.concatenate(([0], cuts))
+    edges = offsets[np.concatenate((firsts, [L]))].tolist()
+    for a, b, thr in zip(edges[:-1], edges[1:], threshold[firsts].tolist()):
+        np.less(coins[a:b], thr, out=hit[a:b])
+    flat = np.flatnonzero(hit)
+    grow, node = np.divmod(flat, n)
+    lane = np.searchsorted(offsets, grow, side="right") - 1
+    if not active.all():
+        keep = active[lane, node]
+        flat, grow, node, lane = flat[keep], grow[keep], node[keep], lane[keep]
+    return flat, grow, lane, node
+
+
 def _participants(
     coins: np.ndarray,
     channels: np.ndarray,
@@ -92,29 +124,35 @@ def _participants(
     lane-local (the scalar-stream position) and ``cell`` a flat key in the
     common space ``global_row * Cmax + channel`` (rows are globally
     disjoint, so keys from lanes with different channel counts never
-    collide).
-
-    The compare is one scalar-threshold ``np.less`` per run of consecutive
-    lanes sharing a threshold — lanes at the same schedule point form one
-    run — and halted nodes are dropped from the sparse hits rather than
-    masked over the dense block."""
-    T, n = coins.shape
-    L = offsets.size - 1
-    hit = np.empty((T, n), dtype=bool)
-    cuts = np.flatnonzero(threshold[1:] != threshold[:-1]) + 1
-    firsts = np.concatenate(([0], cuts))
-    edges = offsets[np.concatenate((firsts, [L]))].tolist()
-    for a, b, thr in zip(edges[:-1], edges[1:], threshold[firsts].tolist()):
-        np.less(coins[a:b], thr, out=hit[a:b])
-    flat = np.flatnonzero(hit)
-    grow, node = np.divmod(flat, n)  # global (concatenated) row, node
-    lane = np.searchsorted(offsets, grow, side="right") - 1
-    if not active.all():
-        keep = active[lane, node]
-        flat, grow, node, lane = flat[keep], grow[keep], node[keep], lane[keep]
+    collide).  The hits themselves come from :func:`_hits`."""
+    flat, grow, lane, node = _hits(coins, active, threshold, offsets)
     row = grow - offsets[lane]
     cell = grow * np.int64(Cmax) + channels.ravel()[flat]
     return flat, lane, row, node, cell
+
+
+def _cell_groups(cell: np.ndarray) -> Tuple[np.ndarray, int]:
+    """One group id per hit, shared by the hits on the same cell, and the
+    number of groups ``G``.
+
+    The occupancy of any subset of hits is then ``np.bincount(gid[subset],
+    minlength=G)``, read back at the queried hits through ``gid`` — every
+    cell count of a kernel pass rides on this one grouping instead of a
+    sort and two binary searches per count.  The sort is stable because
+    hits arrive in (lane, row, node) order: ``cell`` is already sorted by
+    row, and the stable sort only merges the short within-row runs.  A
+    dense ``(T * C)`` occupancy table would need no sort, but MultiCastAdv
+    phases have up to ``2**j`` channels, so it would need a size cap with
+    this path kept behind it (DESIGN.md section 6.3)."""
+    order = np.argsort(cell, kind="stable")
+    ordered = cell[order]
+    starts = np.empty(cell.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    run = np.cumsum(starts)
+    gid = np.empty(cell.size, dtype=np.int64)
+    gid[order] = run - 1
+    return gid, int(run[-1]) if cell.size else 0
 
 
 def _shared_coin_ragged(
@@ -164,8 +202,11 @@ def _shared_coin_ragged(
         lane advancing per pass.
     3.  **Counters.**  With informing rows final, a broadcast-coin hit is a
         send iff its row is later than its node's informing row, and a
-        listen is noisy iff its cell is jammed or holds >= 2 such sends —
-        one sorted-key count plus one lookup over the listen hits.
+        listen is noisy iff its cell is jammed or holds >= 2 such sends.
+
+    Every cell count (current broadcasters, potential broadcasters, the
+    final noise count) is a ``bincount`` over the pass's one cell grouping
+    (:func:`_cell_groups`).
     """
     T, n = coins.shape
     L = offsets.size - 1
@@ -176,6 +217,7 @@ def _shared_coin_ragged(
     flat, lane, row, node, cell = _participants(
         coins, channels, active, 2.0 * p, offsets, C
     )
+    gid, G = _cell_groups(cell)
     is_listen = coins.ravel()[flat] < p[lane]
     node_key = lane * n + node
     listen_counts = np.bincount(node_key[is_listen], minlength=L * n).reshape(L, n)
@@ -189,32 +231,20 @@ def _shared_coin_ragged(
     NEVER = np.int64(lane_rows.max())
     informing_row = np.where(informed, np.int64(-1), NEVER)  # (L, n)
 
-    def sends_now():
-        return ~is_listen & (row > informing_row[lane, node])
-
-    def broadcasters_at(query_cells: np.ndarray, send_mask: np.ndarray) -> np.ndarray:
-        """Current broadcaster count at each queried cell."""
-        send_cells = np.sort(cell[send_mask])
-        if not send_cells.size:
-            return np.zeros(query_cells.shape[0], dtype=np.int64)
-        lo = np.searchsorted(send_cells, query_cells, side="left")
-        hi = np.searchsorted(send_cells, query_cells, side="right")
-        return hi - lo
-
     frontier = np.full(L, -1, dtype=np.int64)  # rows <= frontier are settled
     while True:
         informing_at_hit = informing_row[lane, node]
-        learners = (
+        learner_idx = np.flatnonzero(
             is_listen & (informing_at_hit == NEVER) & (row > frontier[lane])
         )
-        if not learners.any():
+        if not learner_idx.size:
             break
+        learner_gid = gid[learner_idx]
         sends = ~is_listen & (row > informing_at_hit)
-        count = broadcasters_at(cell[learners], sends)
-        heard = (count == 1) & ~jam_at[learners]
+        count = np.bincount(gid[sends], minlength=G)[learner_gid]
+        heard = (count == 1) & ~jam_at[learner_idx]
         if not heard.any():
             break
-        learner_idx = np.nonzero(learners)[0]
         heard_idx = learner_idx[heard]
         heard_lane = lane[heard_idx]
         heard_row = row[heard_idx]
@@ -235,12 +265,8 @@ def _shared_coin_ragged(
         # hearing.  Accepted events therefore cannot interfere with one
         # another, and a typical block settles in a couple of passes
         # instead of one per event row.
-        potential = np.sort(cell[~is_listen & (informing_at_hit == NEVER)])
-        learner_cells = cell[learner_idx]
-        exposed = (
-            np.searchsorted(potential, learner_cells, side="right")
-            - np.searchsorted(potential, learner_cells, side="left")
-        ) > 0
+        potential = ~is_listen & (informing_at_hit == NEVER)
+        exposed = np.bincount(gid[potential], minlength=G)[learner_gid] > 0
         cell_safe = ~exposed[heard]
         # first volatile listen row, computed only for the nodes that have a
         # cell-safe hearing to validate (np.minimum.at is an unbuffered
@@ -285,9 +311,9 @@ def _shared_coin_ragged(
             slot0[new_lane] + informing_row[new_lane, new_node] * slot_scale
         )
 
-    sends = sends_now()
+    sends = ~is_listen & (row > informing_row[lane, node])
     send_counts = np.bincount(node_key[sends], minlength=L * n).reshape(L, n)
-    count = broadcasters_at(cell[is_listen], sends)
+    count = np.bincount(gid[sends], minlength=G)[gid[is_listen]]
     noisy = jam_at[is_listen] | (count >= 2)
     noise_counts = np.bincount(
         node_key[is_listen][noisy], minlength=L * n

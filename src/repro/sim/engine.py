@@ -27,7 +27,7 @@ import numpy as np
 from repro.sim.channel import ACT_LISTEN, ACT_SEND_BEACON, ACT_SEND_MSG
 from repro.sim.jam import JamBlock
 from repro.sim.metrics import BatchEnergyLedger, EnergyLedger
-from repro.sim.rng import RandomFabric, bounded_integers
+from repro.sim.rng import RandomFabric, bounded_integers, skip_bounded_integers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.adversary.base import Adversary
@@ -453,6 +453,21 @@ class BatchNetwork:
             bounded_integers(self.rngs[l], C, out[pos : pos + K])
             pos += int(K)
         return out
+
+    def skip_channels_ragged(
+        self, lane_ids: np.ndarray, block_rows: np.ndarray, num_channels
+    ) -> None:
+        """Consume the channel draws :meth:`draw_channels_ragged` would make
+        for these lanes without producing them: each lane's generator ends
+        where that draw would leave it
+        (:func:`~repro.sim.rng.skip_bounded_integers`, a PCG64 jump-ahead for
+        power-of-two channel counts).  For blocks whose outcome cannot
+        depend on the channels (DESIGN.md section 9.2).
+        """
+        rows = np.asarray(block_rows, dtype=np.int64)
+        Cs = np.broadcast_to(np.asarray(num_channels, dtype=np.int64), rows.shape)
+        for l, K, C in zip(lane_ids, rows, Cs):
+            skip_bounded_integers(self.rngs[l], C, int(K) * self.n)
 
     def draw_coins_ragged(self, lane_ids: np.ndarray, block_rows: np.ndarray) -> np.ndarray:
         """Concatenated per-lane coin draws: ``(sum(block_rows), n)`` float64."""

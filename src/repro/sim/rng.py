@@ -14,6 +14,8 @@ Streams are spawned from a single root :class:`numpy.random.SeedSequence`, so
 :func:`bounded_integers` is the block engines' channel draw: the values and
 stream consumption of ``Generator.integers`` at a fraction of its cost when
 the bound is a power of two (DESIGN.md section 6.5).
+:func:`skip_bounded_integers` consumes the same draw without producing it,
+by PCG64 jump-ahead when the draw is raw words.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-__all__ = ["RandomFabric", "bounded_integers", "derive_seed"]
+__all__ = ["RandomFabric", "bounded_integers", "derive_seed", "skip_bounded_integers"]
 
 #: Output dtypes ``Generator.integers`` fills one 32-bit word per value for
 #: (bounds up to 2**31); narrower dtypes split words into 8/16-bit pieces.
@@ -32,6 +34,23 @@ _WORD_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 #: A uint32 view of raw outputs lists each low half first only on
 #: little-endian hosts, matching the order ``integers`` consumes them in.
 _LOW_HALF_FIRST = sys.byteorder == "little"
+
+
+def _raw_words(bg, high: int, count: int, dtype) -> bool:
+    """True when ``count`` values of ``integers(0, high, dtype=dtype)`` are
+    exactly the top bits of the next ``count // 2`` raw PCG64 outputs: the
+    bound is a power of two in ``[2, 2**31]``, the count is even, the dtype
+    takes one 32-bit word per value, no half word is buffered, the bit
+    generator is PCG64 and the host little-endian."""
+    return (
+        2 <= high <= 2**31
+        and (high & (high - 1)) == 0
+        and count % 2 == 0
+        and dtype in _WORD_DTYPES
+        and type(bg) is np.random.PCG64
+        and _LOW_HALF_FIRST
+        and bg.state["has_uint32"] == 0
+    )
 
 
 def bounded_integers(rng: np.random.Generator, high: int, out: np.ndarray) -> np.ndarray:
@@ -53,24 +72,38 @@ def bounded_integers(rng: np.random.Generator, high: int, out: np.ndarray) -> np
     Both leave ``has_uint32 == 0``, and numpy never reads ``uinteger`` then.
     """
     high = int(high)
-    k = high.bit_length() - 1
     bg = rng.bit_generator
-    if (
-        2 <= high <= 2**31
-        and high == 1 << k
-        and out.size % 2 == 0
-        and out.dtype in _WORD_DTYPES
-        and type(bg) is np.random.PCG64
-        and _LOW_HALF_FIRST
-        and bg.state["has_uint32"] == 0
-    ):
+    if _raw_words(bg, high, out.size, out.dtype):
         words = bg.random_raw(out.size // 2).view(np.uint32).reshape(out.shape)
         # shifting into a same-width unsigned view skips the ufunc's cast
         target = out.view(np.uint32) if out.dtype == np.int32 else out
-        np.right_shift(words, 32 - k, out=target)
+        np.right_shift(words, 32 - (high.bit_length() - 1), out=target)
     else:
         out[...] = rng.integers(0, high, size=out.shape, dtype=out.dtype)
     return out
+
+
+def skip_bounded_integers(rng: np.random.Generator, high: int, count: int) -> None:
+    """Consume the draw ``bounded_integers(rng, high, np.empty(count,
+    np.int32))`` would make, without producing its values.
+
+    When that draw is ``count // 2`` raw words (the fast path's conditions),
+    PCG64 jumps ahead over them in O(log count) with
+    ``bit_generator.advance``, which also clears the half-word buffer, as
+    the draw leaves it.  ``high == 1`` consumes nothing, so nothing is
+    done.  Every other case draws the values and discards them.  As with
+    :func:`bounded_integers`, only the unread ``uinteger`` field can differ
+    from the state the draw leaves.
+    """
+    high = int(high)
+    count = int(count)
+    bg = rng.bit_generator
+    if high == 1:
+        return
+    if _raw_words(bg, high, count, np.dtype(np.int32)):
+        bg.advance(count // 2)
+    else:
+        bounded_integers(rng, high, np.empty(count, dtype=np.int32))
 
 
 def derive_seed(root: int, *labels: object) -> int:

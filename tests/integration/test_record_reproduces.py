@@ -10,7 +10,9 @@ them, so a numpy release that changes a ``Generator`` stream fails here too.
 
 The rows cover the shared-coin block kernel (three gallery cells, one of
 them the sweep jammer), the MultiCastAdv kernel (a 1.87M-slot
-``limited_adv_C4`` trial) and the windowed arena (``reactive:2``).
+``limited_adv_C4`` trial, and a 9.09M-slot unjammed ``adv`` trial on the
+uncapped lattice: phase 0 with its one channel, and phases with ``2**j``
+channels) and the windowed arena (``reactive:2``).
 """
 
 import json
@@ -33,6 +35,7 @@ ROWS = [
     ("gallery.spec.json", "gallery.jsonl", "multicast", "random", 64),
     ("gallery.spec.json", "gallery.jsonl", "multicast_c", "bursts", 64),
     ("limited_adv_C4.spec.json", "limited_adv.jsonl", "adv_c", "blackout", 8),
+    ("adv_unjammed.spec.json", "adv_unjammed.jsonl", "adv", "none", 8),
     ("arena_windowed.spec.json", "arena_windowed.jsonl", "multicast", "reactive:2", 64),
 ]
 

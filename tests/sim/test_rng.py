@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import RandomFabric, bounded_integers, derive_seed
+from repro.sim.rng import (
+    RandomFabric,
+    bounded_integers,
+    derive_seed,
+    skip_bounded_integers,
+)
 
 
 class TestDeriveSeed:
@@ -201,3 +206,113 @@ class TestBoundedIntegers:
     @settings(max_examples=150, deadline=None)
     def test_property_matches_integers(self, seed, k, shape, dtype):
         self.check(*self.twins(seed=seed), 2**k, tuple(shape), dtype)
+
+
+class TestSkipBoundedIntegers:
+    """``skip_bounded_integers`` against the draw it stands for, the one the
+    quiet MultiCastAdv step-I lanes skip (DESIGN.md sections 6.5 and 9.2).
+
+    Twin generators: one draws ``bounded_integers(rng, high,
+    np.empty(count, np.int32))``, the other skips the same request.  The
+    states must match (``uinteger`` aside, as for ``bounded_integers``),
+    and so must the next ``random()``, ``integers()`` and ``random_raw()``
+    values.
+    """
+
+    HIGHS = [1, 2, 3, 4, 32, 2**20, 2**31]
+    COUNTS = [0, 1, 7, 8, 64]
+
+    twins = staticmethod(TestBoundedIntegers.twins)
+
+    @staticmethod
+    def assert_same_stream(ref_rng, fast_rng):
+        TestBoundedIntegers.assert_same_stream(ref_rng, fast_rng)
+        np.testing.assert_array_equal(
+            ref_rng.bit_generator.random_raw(3), fast_rng.bit_generator.random_raw(3)
+        )
+
+    def check(self, ref_rng, fast_rng, high, count):
+        bounded_integers(ref_rng, high, np.empty(count, dtype=np.int32))
+        assert skip_bounded_integers(fast_rng, high, count) is None
+        self.assert_same_stream(ref_rng, fast_rng)
+
+    @pytest.mark.parametrize("half_word", [False, True])
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("high", HIGHS)
+    def test_matches_the_draw(self, high, count, half_word):
+        ref_rng, fast_rng = self.twins(seed=13)
+        if half_word:
+            for g in (ref_rng, fast_rng):
+                g.integers(0, 4, size=1, dtype=np.int32)
+                assert g.bit_generator.state["has_uint32"] == 1
+        self.check(ref_rng, fast_rng, high, count)
+
+    @pytest.mark.parametrize("count", [0, 7, 24])
+    @pytest.mark.parametrize("high", [1, 4, 24])
+    def test_philox_draws_and_discards(self, high, count):
+        self.check(*self.twins(seed=3, bit_generator=np.random.Philox), high, count)
+
+    @pytest.mark.parametrize(
+        "bit_generator, high, count, half_word, route",
+        [
+            (np.random.PCG64, 4, 24, False, "advance"),
+            (np.random.PCG64, 2, 2, False, "advance"),
+            (np.random.PCG64, 2**31, 8, False, "advance"),
+            (np.random.PCG64, 4, 0, False, "advance"),  # advance(0): a no-op
+            (np.random.PCG64, 1, 24, False, "nothing"),
+            (np.random.PCG64, 1, 7, True, "nothing"),
+            (np.random.PCG64, 24, 24, False, "draw"),
+            (np.random.PCG64, 4, 7, False, "draw"),  # odd count
+            (np.random.PCG64, 4, 24, True, "draw"),  # buffered half word
+            (np.random.Philox, 4, 24, False, "draw"),
+        ],
+    )
+    def test_routing(self, bit_generator, high, count, half_word, route):
+        """Which cases jump ahead, which consume nothing, which draw."""
+
+        class Spy:
+            """Counts the ``integers`` calls made through it."""
+
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self.rng, self.calls = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        ref_rng, fast_rng = self.twins(seed=9, bit_generator=bit_generator)
+        if half_word:
+            for g in (ref_rng, fast_rng):
+                g.integers(0, 4, size=1, dtype=np.int32)
+        before = repr(fast_rng.bit_generator.state)
+        spy = Spy(fast_rng)
+        skip_bounded_integers(spy, high, count)
+        assert spy.calls == (route == "draw")
+        assert (repr(fast_rng.bit_generator.state) == before) == (
+            route == "nothing" or count == 0
+        )
+        bounded_integers(ref_rng, high, np.empty(count, dtype=np.int32))
+        self.assert_same_stream(ref_rng, fast_rng)
+
+    def test_advance_is_a_jump(self):
+        """2**62 values are skipped in O(log n): no value is ever drawn (a
+        draw of that size could not even be allocated)."""
+        ref_rng, fast_rng = self.twins(seed=21)
+        ref_rng.bit_generator.advance(2**61)
+        skip_bounded_integers(fast_rng, 8, 2**62)
+        self.assert_same_stream(ref_rng, fast_rng)
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        k=st.integers(0, 31),
+        count=st.integers(0, 200),
+        half_word=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_the_draw(self, seed, k, count, half_word):
+        ref_rng, fast_rng = self.twins(seed=seed)
+        if half_word:
+            for g in (ref_rng, fast_rng):
+                g.integers(0, 4, size=1, dtype=np.int32)
+        self.check(ref_rng, fast_rng, 2**k, count)
