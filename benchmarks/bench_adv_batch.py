@@ -10,13 +10,13 @@ resolver) — recorded in the committed ``benchmarks/BENCH_adv_batch.json``;
 the in-test assertion is a loose floor so a loaded CI runner cannot flake
 the suite.  The channel-capped ``adv_c`` case lands lower (~2.5x): at
 C <= 8 the scalar dense-grid resolver was never the bottleneck, and both
-backends converge on the per-lane RNG draw floor (DESIGN.md section 6.3's
+engines converge on the per-lane RNG draw floor (DESIGN.md section 6.3's
 "draws are the floor" applies verbatim).  End-to-end trial sets include
 the halt-race straggler (the slowest lane finishes its last epochs with
 the batch mostly drained), so these figures are what campaigns actually
 see, not a best-case kernel number.
 
-The backends must agree bit for bit before timing means anything — the same
+The engines must agree bit for bit before timing means anything — the same
 contract ``tests/core/test_batch_equivalence.py`` enforces — so each case
 re-asserts per-trial equality here too.
 
@@ -32,11 +32,12 @@ import time
 import pytest
 
 from benchmarks.conftest import run_once, smoke_mode
-from repro import MultiCastAdv
+from repro import MultiCastAdv, run_broadcast
 from repro.analysis import render_table
 from repro.analysis.stats import run_trials
 from repro.core.limited import MultiCastAdvC
 from repro.exp.registry import build_jammer
+from repro.sim.rng import derive_seed
 
 N = 8
 BUDGET = 100_000
@@ -50,8 +51,8 @@ KNOBS = dict(alpha=0.24, b=0.01, halt_noise_divisor=50.0, helper_wait=4.0, max_e
 LANE_WIDTH = 8
 
 
-def _assert_bit_identical(scalar_batch, batched_batch):
-    for a, b in zip(scalar_batch.results, batched_batch.results):
+def _assert_bit_identical(scalar_results, batched_batch):
+    for a, b in zip(scalar_results, batched_batch.results):
         assert a.slots == b.slots
         assert (a.node_energy == b.node_energy).all()
         assert (a.informed_slot == b.informed_slot).all()
@@ -77,23 +78,34 @@ def test_adv_batched_vs_scalar(benchmark, bench_json):
         rows = []
         for name, factory in cases.items():
             timings = {}
-            batches = {}
-            for backend in ("scalar", "batched"):
-                t0 = time.perf_counter()
-                batches[backend] = run_trials(
-                    factory,
+            t0 = time.perf_counter()
+            # the scalar baseline: per-trial run_broadcast over the same
+            # derived seeds run_trials uses
+            scalar = [
+                run_broadcast(
+                    factory(),
                     N,
-                    jammer_factory,
-                    trials=trials,
-                    base_seed=BASE_SEED,
-                    label="bench-adv-batch",
-                    backend=backend,
-                    lane_width=LANE_WIDTH,
+                    jammer_factory(derive_seed(BASE_SEED, "bench-adv-batch", "eve", t)),
+                    seed=derive_seed(BASE_SEED, "bench-adv-batch", "net", t),
                     max_slots=400_000_000,
                 )
-                timings[backend] = time.perf_counter() - t0
-            _assert_bit_identical(batches["scalar"], batches["batched"])
-            total_slots = int(batches["batched"].slots.sum())
+                for t in range(trials)
+            ]
+            timings["scalar"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            batched = run_trials(
+                factory,
+                N,
+                jammer_factory,
+                trials=trials,
+                base_seed=BASE_SEED,
+                label="bench-adv-batch",
+                lane_width=LANE_WIDTH,
+                max_slots=400_000_000,
+            )
+            timings["batched"] = time.perf_counter() - t0
+            _assert_bit_identical(scalar, batched)
+            total_slots = int(batched.slots.sum())
             figures[name] = {
                 "scalar_s": round(timings["scalar"], 3),
                 "batched_s": round(timings["batched"], 3),
@@ -101,7 +113,7 @@ def test_adv_batched_vs_scalar(benchmark, bench_json):
                 "trials_per_s_scalar": round(trials / timings["scalar"], 2),
                 "trials_per_s_batched": round(trials / timings["batched"], 2),
                 "slots_per_s_batched": round(total_slots / timings["batched"]),
-                "success_rate": batches["batched"].success_rate,
+                "success_rate": batched.success_rate,
             }
             rows.append(
                 [
@@ -109,7 +121,7 @@ def test_adv_batched_vs_scalar(benchmark, bench_json):
                     f"{timings['scalar']:.2f}",
                     f"{timings['batched']:.2f}",
                     f"{figures[name]['speedup']:.2f}x",
-                    f"{batches['batched'].success_rate:.0%}",
+                    f"{batched.success_rate:.0%}",
                 ]
             )
         print()

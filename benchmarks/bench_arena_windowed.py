@@ -16,12 +16,14 @@ Two protocol rungs, because the attainable speedup is protocol-shaped:
   the >= 10x headline at every rung.
 * ``multicast`` (Fig. 2): nodes draw channel + coin *every slot*; those
   draws are the PeriodDraws contract (bit-identity to the scalar oracle) and
-  are paid identically by both backends, so the windowed floor is the raw
+  are paid identically by both drivers, so the windowed floor is the raw
   generator fill rate — a ~7-9x speedup, recorded honestly alongside.
 
 L = 0 rungs (within-slot sensing, the sniper's power) are timed like the
 rest: the window has no history ring to consult, every row simply targets
-its own busy mask, and ``backend="auto"`` window-steps them too.
+its own busy mask.  The baseline is the slot-stepped oracle
+(:func:`repro.arena.network.run_slot_stepped`), which only tests and
+benchmarks still call.
 
 ``REPRO_BENCH_JSON=<dir> pytest benchmarks/bench_arena_windowed.py -s``
 regenerates ``BENCH_arena_windowed.json``; ``REPRO_BENCH_SMOKE=1`` shrinks
@@ -36,20 +38,19 @@ import pytest
 from benchmarks.conftest import run_once, smoke_mode
 from repro import MultiCast, MultiCastC
 from repro.adversary.reactive import ReactiveLatencyJammer
-from repro.arena import run_broadcast_adaptive
+from repro.arena import lift_protocol, run_broadcast_adaptive, run_slot_stepped
 
 LADDER = (0, 1, 2, 4, 8)
 
 
 def _ladder(make_protocol, n, budget, seed):
-    """Run the latency ladder through both backends; return per-rung figures."""
+    """Run the latency ladder through the slot oracle and the windowed
+    driver; return per-rung figures."""
     rungs = {}
     for latency in LADDER:
         jammer = ReactiveLatencyJammer(budget, latency=latency, k=4, seed=9)
         t0 = time.perf_counter()
-        slot = run_broadcast_adaptive(
-            make_protocol(), n, jammer, seed=seed, backend="slot"
-        )
+        slot = run_slot_stepped(lift_protocol(make_protocol(), n, seed), jammer)
         slot_s = time.perf_counter() - t0
         jammer = ReactiveLatencyJammer(budget, latency=latency, k=4, seed=9)
         t0 = time.perf_counter()

@@ -6,7 +6,7 @@ Timed kernels, with pytest-benchmark doing real statistical rounds here
 * dense block resolution (the Figs. 1/2/5 hot path);
 * sparse block resolution at 2^26 channels (the Fig. 4 hot path);
 * a full MultiCast broadcast end to end (slots/second figure of merit);
-* the lane-batched trial backend vs. the scalar loop — the figure the
+* the lane-batched trial engine vs. the per-trial scalar loop — the figure the
   committed ``BENCH_engine.json`` baseline tracks (DESIGN.md section 6).
 
 ``REPRO_BENCH_JSON=<dir> pytest benchmarks/bench_engine.py`` regenerates the
@@ -25,7 +25,7 @@ from repro.core.runner import shared_coin_actions, spread_block
 from repro.exp.registry import build_jammer
 from repro.sim.channel import resolve_block
 from repro.sim.jam import JamBlock
-from repro.sim.rng import RandomFabric
+from repro.sim.rng import RandomFabric, derive_seed
 
 
 def make_case(K, n, C, p, seed=0):
@@ -96,9 +96,10 @@ def test_full_broadcast_slots_per_second(benchmark):
 
 @pytest.mark.benchmark(group="EXP-ENG batched")
 def test_run_trials_batched_vs_scalar(benchmark, bench_json):
-    """The PR-2 acceptance figure: ``run_trials`` over the lane-batched
-    backend vs. the scalar loop at the gallery scale (``multicast``, n=64,
-    k=32 trials), unjammed and under the gallery's blanket jammer.
+    """The engine acceptance figure: ``run_trials`` on the lane-batched
+    engine vs. a per-trial ``run_broadcast`` loop over the same seeds at the
+    gallery scale (``multicast``, n=64, k=32 trials), unjammed and under the
+    gallery's blanket jammer.
 
     The committed ``benchmarks/BENCH_engine.json`` baseline demonstrates the
     >= 3x speedup on the 1-core reference box; the in-test assertion is a
@@ -117,25 +118,37 @@ def test_run_trials_batched_vs_scalar(benchmark, bench_json):
         figures = {}
         for jammer in ("none", "blanket"):
             timings = {}
-            batches = {}
-            for backend in ("scalar", "batched"):
-                t0 = time.perf_counter()
-                batches[backend] = run_trials(
-                    lambda: MultiCast(n),
+            factory = jammer_factory(jammer)
+            t0 = time.perf_counter()
+            # the scalar baseline: per-trial run_broadcast over the same
+            # derived seeds run_trials uses
+            scalar = [
+                run_broadcast(
+                    MultiCast(n),
                     n,
-                    jammer_factory(jammer),
-                    trials=trials,
-                    base_seed=1,
-                    label="bench-engine",
-                    backend=backend,
+                    None if factory is None
+                    else factory(derive_seed(1, "bench-engine", "eve", t)),
+                    seed=derive_seed(1, "bench-engine", "net", t),
                 )
-                timings[backend] = time.perf_counter() - t0
-            # the backends must agree bit for bit before timing means anything
-            for a, b in zip(batches["scalar"].results, batches["batched"].results):
+                for t in range(trials)
+            ]
+            timings["scalar"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            batched = run_trials(
+                lambda: MultiCast(n),
+                n,
+                factory,
+                trials=trials,
+                base_seed=1,
+                label="bench-engine",
+            )
+            timings["batched"] = time.perf_counter() - t0
+            # the engines must agree bit for bit before timing means anything
+            for a, b in zip(scalar, batched.results):
                 assert a.slots == b.slots
                 assert (a.node_energy == b.node_energy).all()
                 assert (a.informed_slot == b.informed_slot).all()
-            total_slots = int(batches["batched"].slots.sum())
+            total_slots = int(batched.slots.sum())
             figures[jammer] = {
                 "scalar_s": round(timings["scalar"], 3),
                 "batched_s": round(timings["batched"], 3),

@@ -96,7 +96,7 @@ def test_disabled_overhead_batched_engine(bench_json):
     def workload():
         run_trials(
             lambda: MultiCast(n), n, None,
-            trials=trials, base_seed=1, label="bench-obs", backend="batched",
+            trials=trials, base_seed=1, label="bench-obs",
         )
 
     _bound(workload, "batch.kernel_passes", bench_json, "batched_engine")
@@ -114,7 +114,7 @@ def test_disabled_overhead_windowed_arena(bench_json):
         run_broadcast_adaptive(
             MultiCastC(n, C=4, a=a), n,
             ReactiveLatencyJammer(budget, latency=2, k=4, seed=9),
-            seed=2, backend="window",
+            seed=2,
         )
 
     _bound(workload, "window.passes", bench_json, "windowed_arena")

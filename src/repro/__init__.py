@@ -13,8 +13,8 @@ that is bit-identical per trial to the scalar path and several times faster
 on a single core.  The
 adaptive-adversary arena (:mod:`repro.arena`, DESIGN.md section 7) probes the
 paper's section-8 conjecture: reactive jammers (``sniper``, ``trailing``,
-``reactive:<latency>``) run against every protocol on a vectorized
-slot-stepped runtime via :func:`run_broadcast_adaptive`, and
+``reactive:<latency>``) run against every protocol on a vectorized,
+window-stepped runtime via :func:`run_broadcast_adaptive`, and
 :func:`run_broadcast` dispatches there automatically.
 
 Quickstart::

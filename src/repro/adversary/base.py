@@ -124,6 +124,17 @@ class ObliviousJammer(Adversary):
         self._spent = 0
         self._cursor = 0
 
+    def checkpoint(self):
+        """Snapshot (rng state, spent, cursor) for speculative window
+        execution on the arena (:mod:`repro.arena.window`).  Strategies
+        keeping further mutable state must extend this pair."""
+        return (self.rng.bit_generator.state, self._spent, self._cursor)
+
+    def restore(self, state) -> None:
+        """Rewind to a :meth:`checkpoint` snapshot (exact rollback)."""
+        rng_state, self._spent, self._cursor = state
+        self.rng.bit_generator.state = rng_state
+
     @property
     def spent(self) -> int:
         return self._spent

@@ -34,10 +34,14 @@ Adaptivity cannot be expressed through the oblivious block API (the engine
 never shows Eve node behaviour — by design), so reactive jammers run on the
 sensing runtimes: :class:`repro.sim.node.ScalarNetwork` (``adversary`` may
 be reactive; the readable reference) and the vectorized arena of
-:mod:`repro.arena` (the fast path, window-stepped for every jammer here —
-benchmarked against the scalar loop in ``benchmarks/bench_arena.py``, with
-campaign wiring via :mod:`repro.exp.registry` and ``python -m repro
-arena``).
+:mod:`repro.arena` (the fast path — benchmarked against the scalar loop in
+``benchmarks/bench_arena.py``, with campaign wiring via
+:mod:`repro.exp.registry` and ``python -m repro arena``).  The arena
+window-steps every jammer: those with a ``window_latency`` (every jammer
+here) speculate across whole windows and roll back with
+:meth:`ReactiveJammer.checkpoint` / :meth:`ReactiveJammer.restore`; a
+subclass without one is asked once per slot through :meth:`jam_slot
+<ReactiveJammer.jam_slot>`, at window width 1.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ class ReactiveJammer(ABC):
         busy masks never depend on jamming, so even ``L == 0`` (within-slot
         sensing) targets are known before Eve answers.  ``None`` (the base
         default) marks a strategy whose sensing the driver cannot
-        reconstruct, which forces slot stepping."""
+        reconstruct: the driver then runs the lane at window width 1,
+        calling :meth:`jam_slot` once per slot like the slot oracle."""
         return None
 
     def checkpoint(self):

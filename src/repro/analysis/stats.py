@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.result import BroadcastResult, run_broadcast
+from repro.core.result import BroadcastResult
 from repro.sim.rng import derive_seed
 
 __all__ = ["TrialBatch", "Summary", "RunningStat", "run_trials", "summarize"]
@@ -199,11 +199,18 @@ def run_trials(
     max_slots: int = 50_000_000,
     label: str = "",
     workers: int = 1,
-    backend: str = "auto",
     lane_width: Optional[int] = None,
     first_trial: int = 0,
 ) -> TrialBatch:
     """Run ``trials`` fresh executions and collect the results.
+
+    Trials run through the lane engine
+    (:func:`repro.core.batch.run_broadcast_stream`), which routes reactive
+    adversaries (the adaptive arena's jammers, DESIGN.md section 7) to the
+    windowed arena, so the adversary-model axis needs no call-site changes.
+    Every trial's result equals the per-trial
+    :func:`~repro.core.result.run_broadcast` run with the same seeds
+    (DESIGN.md sections 6 and 13).
 
     Parameters
     ----------
@@ -218,23 +225,11 @@ def run_trials(
         Batch size and root seed; trial t runs with node seed
         ``derive_seed(base_seed, label, "net", t)``.
     workers:
-        Process count for :func:`repro.exp.pool.fork_map`; every trial's
-        seeds derive from ``(base_seed, label, t)`` alone and results come
-        back in trial order, so any worker count produces the identical
-        batch (1 = in-process serial loop).
-    backend:
-        ``"auto"`` (default) runs trials through the lane engine
-        (:func:`repro.core.batch.run_broadcast_stream`) whenever
-        ``workers <= 1`` — on a single core, batching is the fast path and
-        multiprocessing buys nothing.  ``"batched"`` forces it;
-        ``"scalar"`` forces the per-trial loop / process pool.  Both
-        produce the identical batch: trial seeds depend only on
-        ``(base_seed, label, t)`` and the lane engine is bit-identical per
-        trial (DESIGN.md sections 6 and 13).  Reactive adversaries (the
-        adaptive arena's jammers, DESIGN.md section 7) are legal under
-        every backend: the dispatchers route such trials to the arena
-        runtime per lane, so the adversary-model axis needs no call-site
-        changes.
+        Process count: ``workers > 1`` splits the trials into contiguous
+        slices, one lane stream per slice, fanned out with
+        :func:`repro.exp.pool.fork_map`.  Every trial's seeds derive from
+        ``(base_seed, label, t)`` alone and results come back in trial
+        order, so any worker count produces the identical batch.
     lane_width:
         Trials per batched kernel pass (memory/throughput knob; no effect
         on results).  ``None`` (default) takes the protocol's
@@ -247,47 +242,32 @@ def run_trials(
         seed-wave primitive adaptive stopping is built on
         (:mod:`repro.exp.adaptive`).
     """
-    if backend not in ("auto", "scalar", "batched"):
-        raise ValueError(f"unknown backend {backend!r} (auto, scalar, batched)")
+    from repro.core.batch import run_broadcast_stream
 
     def adversary_for(t: int):
         if adversary_factory is None:
             return None
         return adversary_factory(derive_seed(base_seed, label, "eve", t))
 
-    def net_seed(t: int) -> int:
-        return derive_seed(base_seed, label, "net", t)
-
-    stop = first_trial + trials
-    if backend == "batched" or (backend == "auto" and workers <= 1):
-        from repro.core.batch import run_broadcast_stream
-
-        # one lane stream over the whole trial list, compacting/refilling
-        # as trials retire (DESIGN.md section 13)
-        trial_ids = range(first_trial, stop)
-        return TrialBatch(
-            results=run_broadcast_stream(
-                protocol_factory(),
-                n,
-                [adversary_for(t) for t in trial_ids],
-                [net_seed(t) for t in trial_ids],
-                max_slots=max_slots,
-                lane_width=lane_width,
-            )
-        )
-
-    def one(t: int):
-        return run_broadcast(
+    def stream(trial_ids: range) -> list:
+        return run_broadcast_stream(
             protocol_factory(),
             n,
-            adversary_for(t),
-            seed=net_seed(t),
+            [adversary_for(t) for t in trial_ids],
+            [derive_seed(base_seed, label, "net", t) for t in trial_ids],
             max_slots=max_slots,
+            lane_width=lane_width,
         )
 
+    stop = first_trial + trials
+    if workers <= 1 or trials < 2:
+        return TrialBatch(results=stream(range(first_trial, stop)))
     from repro.exp.pool import fork_map  # local: repro.exp.store imports Summary
 
-    return TrialBatch(results=fork_map(one, range(first_trial, stop), workers=workers))
+    size = -(-trials // min(workers, trials))
+    slices = [range(lo, min(lo + size, stop)) for lo in range(first_trial, stop, size)]
+    parts = fork_map(stream, slices, workers=workers)
+    return TrialBatch(results=[r for part in parts for r in part])
 
 
 def summarize(batch: TrialBatch, metric: str) -> Summary:

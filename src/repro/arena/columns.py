@@ -84,8 +84,10 @@ __all__ = [
 class ColumnProtocol(ABC):
     """Vectorized whole-population protocol state for the arena runtime.
 
-    The driver loop (:func:`repro.arena.run.run_broadcast_adaptive`) calls
-    :meth:`begin_slot` / :meth:`end_slot` once per slot and stops when
+    The production driver (:func:`repro.arena.window.run_windowed`) calls
+    :meth:`begin_window` / :meth:`absorb_window`; the slot-stepped test
+    oracle (:func:`repro.arena.network.run_slot_stepped`) calls
+    :meth:`begin_slot` / :meth:`end_slot` once per slot.  Both stop when
     :attr:`done`; :meth:`result` assembles the standard
     :class:`~repro.core.result.BroadcastResult`.
 
@@ -103,10 +105,6 @@ class ColumnProtocol(ABC):
     #: False lets the network kernel skip the beacon/message payload split
     #: (only Fig. 4's step II ever sends beacons).
     emits_beacons = True
-    #: True once the adapter implements :meth:`begin_window` /
-    #: :meth:`absorb_window` (all shipped adapters do); the windowed driver
-    #: (:mod:`repro.arena.window`) falls back to slot stepping otherwise.
-    supports_windows = False
 
     @abstractmethod
     def current_channels(self) -> int:
@@ -130,6 +128,7 @@ class ColumnProtocol(ABC):
         """Absorb the slot's ``(n,)`` feedback column."""
 
     # -- window interface (block-stepped driver) --------------------------------
+    @abstractmethod
     def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(channels, actions)`` matrices for up to ``limit`` slots.
 
@@ -144,8 +143,8 @@ class ColumnProtocol(ABC):
         the whole window, hands the feedback to :meth:`absorb_window`, and
         the adapter commits only the prefix up to (and including) the first
         action-changing event."""
-        raise NotImplementedError
 
+    @abstractmethod
     def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
         """Absorb a prefix of the window's ``(W, n)`` feedback.
 
@@ -157,7 +156,6 @@ class ColumnProtocol(ABC):
         next window.  Committing must be state-identical to ``A`` per-slot
         ``begin_slot``/``end_slot`` rounds, including boundary bookkeeping
         when the committed prefix ends an iteration/step/round/block."""
-        raise NotImplementedError
 
     @property
     @abstractmethod
@@ -289,8 +287,6 @@ class _SharedCoinColumns(ColumnProtocol):
             self._start_period()
 
     # -- window interface -------------------------------------------------------
-    supports_windows = True
-
     def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         if self._local == self._ch.shape[1]:
             self._chunk_base += self._ch.shape[1]
@@ -546,8 +542,6 @@ class MultiCastAdvColumns(ColumnProtocol):
             self._start_step()
 
     # -- window interface -------------------------------------------------------
-    supports_windows = True
-
     def _draw_rows(self, count: int) -> None:
         """Draw ``count`` window rows, preserving the scalar node's per-slot
         per-node stream order exactly (channel then coin, node by node,
@@ -709,8 +703,6 @@ class DecayColumns(ColumnProtocol):
                 self._load_round()
 
     # -- window interface -------------------------------------------------------
-    supports_windows = True
-
     def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         lo = self.t
         W = min(int(limit), self.L - lo)
@@ -853,8 +845,6 @@ class NaiveColumns(ColumnProtocol):
         self._begin_block(last_slot + 1)
 
     # -- window interface -------------------------------------------------------
-    supports_windows = True
-
     def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         lo = self._bt
         W = min(int(limit), self._K - lo)
@@ -1039,8 +1029,6 @@ class MultiCastCColumns(ColumnProtocol):
             self._start_iteration()
 
     # -- window interface -------------------------------------------------------
-    supports_windows = True
-
     def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         limit = int(limit)
         S, n = self.S, self.n

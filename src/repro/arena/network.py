@@ -25,6 +25,11 @@ channel ``c``) — the standard reactive-jammer model of Richa et al.  She
 never sees node identities, payloads, statuses, or coins.  Budget rules are
 unchanged: one unit per jammed channel-slot, enforced by the same ledger.
 
+Production arena runs window-step (:mod:`repro.arena.window`): whole
+windows of slots per kernel pass, bit-identical to this slot-by-slot step.
+:func:`run_slot_stepped` — the loop over :class:`ArenaNetwork` — survives
+only as the oracle the windowed driver is tested and benchmarked against.
+
 See DESIGN.md section 7 for where this runtime sits in the architecture and
 ``benchmarks/bench_arena.py`` for the speedup over the scalar loop.
 """
@@ -48,7 +53,7 @@ from repro.sim.channel import (
 from repro.sim.jam import JamBlock
 from repro.sim.metrics import EnergyLedger
 
-__all__ = ["ArenaLanes", "ArenaNetwork", "resolve_columns"]
+__all__ = ["ArenaLanes", "ArenaNetwork", "resolve_columns", "run_slot_stepped"]
 
 
 def resolve_columns(
@@ -232,6 +237,41 @@ class ArenaNetwork:
         return f"ArenaNetwork(n={self.n}, clock={self.clock}, adversary={self.adversary!r})"
 
 
+def run_slot_stepped(columns, adversary=None, *, max_slots: int = 50_000_000):
+    """The slot-stepped arena loop — a test oracle, never a production path.
+
+    Drives one lifted adapter (:func:`repro.arena.run.lift_protocol`)
+    through :class:`ArenaNetwork`: one adversary query and one single-slot
+    kernel pass per slot.  The windowed driver
+    (:func:`repro.arena.window.run_windowed`) must reproduce it bit for bit
+    (``tests/arena/test_window_equivalence.py``); benchmarks time it as the
+    windowed driver's baseline.  Stamps ``extras["backend"] = "arena-slot"``.
+    """
+    if adversary is not None:
+        adversary.reset()
+    net = ArenaNetwork(columns.n, adversary, max_slots=max_slots)
+    may_beacon = columns.emits_beacons
+    clock = net.clock  # mirrors net.clock; a local int keeps the loop lean
+    while not columns.done:
+        if clock >= net.max_slots:
+            net.overrun = True
+            break
+        channels, actions, has_listen, has_send = columns.begin_slot(clock)
+        feedback = net.step(
+            channels,
+            actions,
+            columns.current_channels(),
+            may_beacon=may_beacon,
+            has_listen=has_listen,
+            has_send=has_send,
+        )
+        columns.end_slot(clock, feedback)
+        clock += 1
+    result = columns.result(net)
+    result.extras["backend"] = "arena-slot"
+    return result
+
+
 class _LaneNet:
     """One lane's network-shaped facade over :class:`ArenaLanes` books.
 
@@ -270,7 +310,7 @@ class ArenaLanes:
     live lanes' window rows into one :func:`repro.sim.channel.resolve_block`
     call per pass; this class only keeps the books."""
 
-    def __init__(self, n: int, adversaries, *, max_slots: int = 50_000_000):
+    def __init__(self, n: int, adversaries):
         if n < 2:
             raise ValueError("broadcast needs at least two nodes")
         self.n = int(n)
@@ -278,7 +318,6 @@ class ArenaLanes:
         self.B = len(self.adversaries)
         if self.B == 0:
             raise ValueError("need at least one lane")
-        self.max_slots = int(max_slots)
         self.energy = [EnergyLedger(self.n) for _ in range(self.B)]
         self.overrun = np.zeros(self.B, dtype=bool)
 

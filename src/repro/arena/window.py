@@ -1,4 +1,4 @@
-"""Block-stepped (windowed) arena driver: reactive runs at block-engine speed.
+"""Block-stepped (windowed) arena driver: the arena's one production engine.
 
 The slot-stepped arena pays one adversary query and one single-slot kernel
 pass per slot, as if a reactive Eve's answer for slot ``t`` could feed back
@@ -32,8 +32,23 @@ independent trials of the same protocol stack their window rows lane-major
 into one :func:`repro.sim.channel.resolve_block` call per pass (rows are
 resolved independently, so lane stacking is exact), with per-lane books in
 :class:`repro.arena.network.ArenaLanes` and finished lanes dropping out of
-the live set.  ``B = 1`` is the single-trial windowed path behind
-``run_broadcast_adaptive(backend="window")``.
+the live set.  ``B = 1`` is the single-trial path behind
+:func:`~repro.arena.run.run_broadcast_adaptive`.
+
+The driver hosts every adversary the arena accepts, under one rule: a lane
+*speculates* (resolves windows wider than one slot) only when its adversary
+can be rolled back exactly.  That is no adversary at all; a reactive jammer
+with a sensing latency (queried once per window through ``jam_window``); or
+an oblivious jammer with ``checkpoint``/``restore``
+(:class:`~repro.adversary.base.ObliviousJammer`).  Oblivious rows are asked
+one slot at a time, ``jam_block(t, 1, C)`` per row, exactly like the slot
+oracle: a single window-sized query may draw differently (``RandomJammer``
+switches to per-row binomials once ``K * C`` is large).  After a truncated
+window either kind is rewound and replayed over the committed prefix.  Every
+other lane (a reactive jammer with ``window_latency`` ``None``, an oblivious
+adversary without checkpoints) runs at window width 1, queried per row, so
+nothing speculative needs undoing.  The slot-stepped loop itself survives
+only as the test oracle :func:`repro.arena.network.run_slot_stepped`.
 
 See DESIGN.md section 11 for the soundness argument and the RNG rollback
 discipline.
@@ -48,9 +63,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.arena.columns import ColumnProtocol
-from repro.obs.recorder import active as _obs_active
 from repro.arena.network import ArenaLanes
 from repro.core.result import BroadcastResult
+from repro.obs.recorder import active as _obs_active
 from repro.sim.channel import (
     ACT_LISTEN,
     ACT_SEND_MSG,
@@ -62,8 +77,9 @@ from repro.sim.channel import (
     _resolve_dense,
     resolve_block,
 )
+from repro.sim.jam import JamBlock
 
-__all__ = ["WINDOW_CAP", "run_windowed", "windowable_adversary"]
+__all__ = ["WINDOW_CAP", "run_windowed"]
 
 #: Default ceiling on speculative window width (slots).  Windows are clipped
 #: to schedule boundaries anyway; the cap bounds the per-pass working set and
@@ -78,40 +94,52 @@ WINDOW_CAP = 2048
 WINDOW_MIN = 64
 
 
-def windowable_adversary(adversary) -> bool:
-    """True when the windowed driver can host ``adversary``: no jamming at
-    all, or a reactive jammer advertising a sensing latency >= 0
-    (:attr:`~repro.adversary.reactive.ReactiveJammer.window_latency`).
+#: How a lane's adversary is asked for jamming (see the module docstring).
+_QUIET, _SENSING, _REACTIVE, _OBLIVIOUS = range(4)
 
-    The single windowability rule: ``run_broadcast_adaptive``'s ``auto``
-    routing, ``run_broadcast_stream``'s all-reactive routing and
-    :func:`run_windowed`'s validation all ask it.  Oblivious jammers and
-    reactive strategies without the window interface (``window_latency``
-    ``None``) need the slot-stepped loop."""
+
+def _lane_kind(adversary):
+    """``(kind, speculates)`` for one lane: the single rule deciding how the
+    driver queries ``adversary`` and whether the lane may resolve windows
+    wider than one slot (only when the adversary rolls back exactly)."""
     if adversary is None:
-        return True
-    if not hasattr(adversary, "jam_slot"):
-        return False
-    latency = getattr(adversary, "window_latency", None)
-    return latency is not None and latency >= 0
+        return _QUIET, True
+    if hasattr(adversary, "jam_slot"):
+        latency = getattr(adversary, "window_latency", None)
+        if latency is not None and latency >= 0:
+            return _SENSING, True
+        return _REACTIVE, False
+    return _OBLIVIOUS, hasattr(adversary, "checkpoint")
+
+
+def _query_rows(adversary, clock: int, rows: int, C: int, out=None) -> None:
+    """Ask an oblivious adversary for ``rows`` slots one slot at a time —
+    the slot oracle's query shape, so the draws match it row for row —
+    marking the jammed channels in ``out`` (``None`` replays the draws)."""
+    for t in range(rows):
+        block = JamBlock.coerce(adversary.jam_block(clock + t, 1, C))
+        if out is not None:
+            out[t, block.channels] = True
 
 
 def run_windowed(
     columns: Sequence[ColumnProtocol],
     adversaries: Sequence[Optional[object]],
     *,
-    max_slots: int = 50_000_000,
+    max_slots=50_000_000,
     window_cap: int = WINDOW_CAP,
 ) -> List[BroadcastResult]:
     """Run ``B`` lanes window-stepped; lane ``b`` is bit-identical to the
-    slot-stepped ``run_broadcast_adaptive(..., backend="slot")`` run of
-    ``(columns[b], adversaries[b])``.
+    slot-stepped oracle run of ``(columns[b], adversaries[b])``
+    (:func:`repro.arena.network.run_slot_stepped`).
 
     ``columns`` are freshly-lifted adapters (one per lane, same protocol
-    family and ``n``); ``adversaries`` entries are ``None`` or reactive
-    jammers passing :func:`windowable_adversary` (they are ``reset()`` here,
-    like the slot driver does via ``run_broadcast``'s contract).  Results
-    carry the adapters' usual extras; the caller stamps ``extras["backend"]``.
+    family and ``n``); ``adversaries`` entries are ``None``, oblivious or
+    reactive jammers (they are ``reset()`` here, like the slot oracle
+    does).  ``max_slots`` is one cap for every lane or one per lane.
+    ``window_cap`` bounds the speculative width; it never changes a result.
+    Results carry the adapters' usual extras plus
+    ``extras["backend"] = "arena-window"``.
     """
     B = len(columns)
     if len(adversaries) != B:
@@ -120,27 +148,26 @@ def run_windowed(
         return []
     if int(window_cap) < 1:
         raise ValueError("window_cap must be >= 1")
+    caps = np.broadcast_to(np.asarray(max_slots, dtype=np.int64), (B,))
     n = columns[0].n
     for cols, adv in zip(columns, adversaries):
         if cols.n != n:
             raise ValueError("all lanes must share one population size")
-        if not cols.supports_windows:
-            raise ValueError(f"{type(cols).__name__} has no window interface")
-        if not windowable_adversary(adv):
-            raise ValueError(
-                "adversary cannot be window-stepped (oblivious, or no window "
-                "interface) — use the slot-stepped path"
-            )
         if adv is not None:
             adv.reset()
-    lanes = ArenaLanes(n, adversaries, max_slots=max_slots)
-    latency = [0 if a is None else int(a.window_latency) for a in adversaries]
+    lanes = ArenaLanes(n, adversaries)
+    kinds = [_lane_kind(adv) for adv in adversaries]
+    latency = [
+        int(adv.window_latency) if kind == _SENSING else 0
+        for adv, (kind, _) in zip(adversaries, kinds)
+    ]
     # per-lane ring of the last L committed (C, busy_row) pairs — the
     # driver-side stand-in for the jammers' internal sensing history (empty
     # at L = 0: within-slot sensing reads only in-window rows)
     rings = [deque(maxlen=L) for L in latency]
-    cap = int(window_cap)
-    want = [min(WINDOW_MIN, cap)] * B  # adaptive per-lane speculative width
+    # lanes whose adversary cannot roll back never speculate: width 1
+    lane_cap = [int(window_cap) if speculates else 1 for _, speculates in kinds]
+    want = [min(WINDOW_MIN, c) for c in lane_cap]  # adaptive speculative width
     any_beacons = any(cols.emits_beacons for cols in columns)
     live = list(range(B))
     tel = _obs_active()
@@ -150,7 +177,7 @@ def run_windowed(
         for b in live:
             cols = columns[b]
             clock = lanes.clock(b)
-            limit = min(want[b], max_slots - clock)
+            limit = min(want[b], int(caps[b]) - clock)
             if limit <= 0:
                 lanes.overrun[b] = True
                 continue
@@ -179,14 +206,14 @@ def run_windowed(
         ch_send = channels[send_r, send_u]
         busy[send_r, ch_send] = True
         jam = np.zeros((rows, C_max), dtype=bool)
-        specs = []  # per-entry (checkpoint, targets, valid) for rollback
+        rollbacks = []  # per-entry (checkpoint, targets, valid) or None
         off = 0
         for i, (b, clock, C, ch, act) in enumerate(entries):
             W = widths[i]
             adv = adversaries[b]
-            if adv is None:
-                specs.append(None)
-            else:
+            kind = kinds[b][0]
+            rollback = None
+            if kind == _SENSING:
                 L = latency[b]
                 targets = np.zeros((W, C), dtype=bool)
                 valid = np.zeros(W, dtype=bool)
@@ -205,11 +232,17 @@ def run_windowed(
                             targets[t, :] = hist_row
                             valid[t] = True
                     # idx < 0: warm-up — the per-slot path jams nothing there
-                ckpt = adv.checkpoint()
+                rollback = (adv.checkpoint(), targets, valid)
                 jam[off:off + W, :C] = adv.jam_window(clock, targets, valid)
-                specs.append((ckpt, targets, valid))
-                if tel is not None:
-                    tel.count("window.adv_queries")
+            elif kind == _REACTIVE:  # width 1: the oracle's own query
+                jam[off, :C] = adv.jam_slot(clock, busy[off, :C].copy())
+            elif kind == _OBLIVIOUS:
+                if W > 1:  # a one-slot window always commits whole
+                    rollback = (adv.checkpoint(), None, None)
+                _query_rows(adv, clock, W, C, jam[off:off + W])
+            if kind != _QUIET and tel is not None:
+                tel.count("window.adv_queries")
+            rollbacks.append(rollback)
             off += W
         if not any_beacons:
             # inline no-beacon resolution (same rules as _resolve_dense with
@@ -242,6 +275,7 @@ def run_windowed(
             W = widths[i]
             cols = columns[b]
             A = cols.absorb_window(clock, feedback[off:off + W])
+            cap = lane_cap[b]
             want[b] = min(want[b] * 2, cap) if A == W else min(WINDOW_MIN, cap)
             adv = adversaries[b]
             if tel is not None:
@@ -251,13 +285,16 @@ def run_windowed(
                 tel.count("window.slots_committed", A)
                 if A < W:
                     tel.count("window.truncations")
-            if adv is not None and A < W:
+            if A < W and rollbacks[i] is not None:
                 # an event truncated the window: rewind Eve and replay her
-                # over exactly the committed prefix (identical targets →
+                # over exactly the committed prefix (identical queries →
                 # identical draws → identical masks and spend)
-                ckpt, targets, valid = specs[i]
+                ckpt, targets, valid = rollbacks[i]
                 adv.restore(ckpt)
-                adv.jam_window(clock, targets[:A], valid[:A])
+                if targets is None:
+                    _query_rows(adv, clock, A, C)
+                else:
+                    adv.jam_window(clock, targets[:A], valid[:A])
                 if tel is not None:
                     tel.count("window.rollbacks")
                     tel.count("window.adv_queries")
@@ -283,4 +320,7 @@ def run_windowed(
             if not cols.done:
                 next_live.append(b)
         live = next_live
-    return [columns[b].result(lanes.view(b)) for b in range(B)]
+    results = [columns[b].result(lanes.view(b)) for b in range(B)]
+    for result in results:
+        result.extras["backend"] = "arena-window"
+    return results

@@ -151,18 +151,9 @@ def cmd_arena(args) -> int:
                 f"protocol {args.protocol!r} has no arena column adapter"
             )
         adv = make_jammer(name, args.budget, seed=args.seed + 1, n=args.n)
-        try:
-            r = run_broadcast_adaptive(
-                proto,
-                args.n,
-                adversary=adv,
-                seed=args.seed,
-                max_slots=args.max_slots,
-                backend=args.backend,
-            )
-        except ValueError as exc:
-            # backend=window with a jammer that must slot-step (e.g. sniper)
-            raise SystemExit(f"jammer {name!r}: {exc}")
+        r = run_broadcast_adaptive(
+            proto, args.n, adversary=adv, seed=args.seed, max_slots=args.max_slots
+        )
         rows.append(
             [
                 name,
@@ -171,12 +162,11 @@ def cmd_arena(args) -> int:
                 r.adversary_spend,
                 r.max_cost,
                 r.halted_uninformed,
-                r.extras.get("backend", "?").replace("arena-", ""),
             ]
         )
     print(
         render_table(
-            ["jammer", "ok", "slots", "Eve spend", "max cost", "bad halts", "backend"],
+            ["jammer", "ok", "slots", "Eve spend", "max cost", "bad halts"],
             rows,
             title=(
                 f"{args.protocol} (n={args.n}) on the adaptive arena, "
@@ -387,7 +377,6 @@ def cmd_sweep(args) -> int:
                 store,
                 workers=args.workers,
                 progress=progress,
-                backend=args.backend,
                 telemetry=args.telemetry,
                 recovery=recovery,
             )
@@ -597,15 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=ARENA_JAMMERS,
         help=f"comma-separated jammer names (default {ARENA_JAMMERS})",
     )
-    p_ar.add_argument(
-        "--backend",
-        choices=("auto", "slot", "window"),
-        default="auto",
-        help="arena execution path: auto window-steps every jammer with a "
-        "sensing latency, within-slot sniper included (bit-identical, ~10x "
-        "faster), slot forces the per-slot oracle, window refuses jammers "
-        "that need slot stepping",
-    )
     p_ar.set_defaults(fn=cmd_arena)
 
     p_sw = sub.add_parser("sweep", help="parallel Monte Carlo campaign (resumable)")
@@ -635,12 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="0 = one per CPU; 1 = serial fallback; >1 = sharded lane-batched pool",
-    )
-    p_sw.add_argument(
-        "--backend",
-        default="auto",
-        choices=("auto", "batched", "scalar"),
-        help="trial execution: lane-batched engine (auto/batched) or scalar loop",
     )
     p_sw.add_argument(
         "--ci-target",

@@ -21,15 +21,16 @@ and 13):
   ``MultiCastCore`` (Fig. 1), ``MultiCast`` (Fig. 2) and ``MultiCast(C)``
   (Fig. 5); a slot whose trial retires is refilled with the next one.
 * :func:`run_broadcast_stream` — the batch analogue of
-  :func:`repro.core.result.run_broadcast` and the one dispatcher: trials of
-  a protocol with a ``run_stream``, with no reactive adversary and no
-  ``trace=``, run as one :class:`LaneStream`; every other group of
-  ``width`` trials takes the trace, windowed-arena, scalar or
-  ``run_batch`` path (:func:`_run_block`).  Scalar fallbacks are loud:
-  one stderr line (or one campaign-scoped :class:`FallbackNotes` entry)
-  and ``extras["backend"] = "scalar-fallback"`` on each lane that ran the
-  scalar block engine.  :func:`run_broadcast_batch` is the lockstep
-  schedule: a stream as wide as its trial count, so nothing refills.
+  :func:`repro.core.result.run_broadcast` and the one dispatcher: it splits
+  its trial list once by adversary family.  Reactive trials run on the
+  windowed arena; the rest run as one :class:`LaneStream` for a protocol
+  with ``run_stream``, else through the protocol's ``run_batch``.  The
+  scalar block engine is left only for ``trace=`` and for protocols with
+  neither driver, and those fallbacks are loud: one stderr line (or one
+  campaign-scoped :class:`FallbackNotes` entry) and
+  ``extras["backend"] = "scalar-fallback"`` on each lane that ran it.
+  :func:`run_broadcast_batch` is the lockstep schedule: a stream as wide as
+  its trial count, so nothing refills.
 
 Determinism contract (enforced by ``tests/core/test_batch_equivalence.py``):
 lane ``l`` is **bit-identical** to the scalar execution with the same
@@ -580,57 +581,43 @@ def run_iterations_stream(
     return list(stream.results)
 
 
-#: The execution paths a fallback note can name: what its lanes actually ran.
-SCALAR_PATH = "the scalar fallback"
-ARENA_SLOT_PATH = "the slot-stepped arena"
-
-
-def _fallback_line(name: str, reason: str, lanes: int, path: str, passes=None) -> str:
+def _fallback_line(name: str, reason: str, lanes: int, passes=None) -> str:
     """One fallback warning line; ``passes`` is omitted for per-call lines."""
     where = f"{lanes} lane(s)"
     if passes is not None:
         where += f" in {passes} kernel pass(es)"
-    return f"fallback: {name} {reason} — {where} ran on {path}"
+    return f"fallback: {name} {reason} — {where} ran on the scalar fallback"
 
 
 class FallbackNotes:
-    """Campaign-scoped tally of fallback lanes, keyed by cause.
+    """Campaign-scoped tally of scalar-fallback lanes, keyed by cause.
 
     A long campaign can push thousands of lane blocks through
     :func:`run_broadcast_stream`; if its protocol cannot batch, a per-call
     stderr line turns the log into noise (once per kernel pass, not once per
     campaign).  Inside a :func:`collect_fallback_notes` scope the calls
     stay silent and the notes accumulate here; the campaign runner emits one
-    summary line per (protocol, reason) at the end, naming the path the
-    lanes took (:data:`SCALAR_PATH` or :data:`ARENA_SLOT_PATH`).  Counts
-    survive process boundaries as plain dicts (:meth:`snapshot` /
-    :meth:`merge`), which is how sharded workers report theirs back to the
-    parent.
+    summary line per (protocol, reason) at the end.  Counts survive process
+    boundaries as plain dicts (:meth:`snapshot` / :meth:`merge`), which is
+    how sharded workers report theirs back to the parent.
     """
 
     def __init__(self):
         #: (protocol name, reason) -> [lanes, kernel passes]
         self.counts: Dict[Tuple[str, str], List[int]] = {}
-        #: (protocol name, reason) -> the execution path those lanes ran
-        self.paths: Dict[Tuple[str, str], str] = {}
 
-    def add(
-        self, name: str, reason: str, lanes: int, passes: int = 1,
-        path: str = SCALAR_PATH,
-    ) -> None:
+    def add(self, name: str, reason: str, lanes: int, passes: int = 1) -> None:
         entry = self.counts.setdefault((name, reason), [0, 0])
         entry[0] += lanes
         entry[1] += passes
-        self.paths[(name, reason)] = path
 
-    def snapshot(self) -> Dict[Tuple[str, str], list]:
-        """A picklable copy of the tally (worker -> parent transport):
-        ``(name, reason) -> [lanes, passes, path]``."""
-        return {key: [*value, self.paths[key]] for key, value in self.counts.items()}
+    def snapshot(self) -> Dict[Tuple[str, str], List[int]]:
+        """A picklable copy of the tally (worker -> parent transport)."""
+        return {key: list(value) for key, value in self.counts.items()}
 
-    def merge(self, counts: Dict[Tuple[str, str], list]) -> None:
-        for (name, reason), (lanes, passes, path) in counts.items():
-            self.add(name, reason, lanes, passes, path)
+    def merge(self, counts: Dict[Tuple[str, str], List[int]]) -> None:
+        for (name, reason), (lanes, passes) in counts.items():
+            self.add(name, reason, lanes, passes)
 
     def __bool__(self) -> bool:
         return bool(self.counts)
@@ -638,7 +625,7 @@ class FallbackNotes:
     def summary_lines(self) -> List[str]:
         """One line per cause, in first-seen order."""
         return [
-            _fallback_line(name, reason, lanes, self.paths[(name, reason)], passes)
+            _fallback_line(name, reason, lanes, passes)
             for (name, reason), (lanes, passes) in self.counts.items()
         ]
 
@@ -677,7 +664,7 @@ def _note_fallback(protocol, reason: str, lanes: int) -> None:
     if _FALLBACK_NOTES is not None:
         _FALLBACK_NOTES.add(name, reason, lanes)
     else:
-        print(_fallback_line(name, reason, lanes, SCALAR_PATH), file=sys.stderr)
+        print(_fallback_line(name, reason, lanes), file=sys.stderr)
     tel = _obs_active()
     if tel is not None:
         tel.count("batch.fallback_lanes", lanes)
@@ -705,80 +692,56 @@ def stream_width(protocol) -> int:
     return max(1, int(getattr(protocol, "stream_lane_width", DEFAULT_LANE_WIDTH)))
 
 
-def _run_block(protocol, n, adversaries, seeds, caps, trace) -> List[BroadcastResult]:
-    """Run one group of trials that cannot join a :class:`LaneStream`.
+def _run_reactive(protocol, n, adversaries, seeds, caps, width):
+    """Reactive trials: the windowed arena, ``width`` lanes per lockstep
+    batch (every arena lane is bit-identical to its per-trial run)."""
+    from repro.arena.run import run_broadcast_windowed_batch  # import cycle
 
-    The engine ladder, first match wins: a ``trace=`` request runs the
-    scalar engine; an all-reactive group whose every jammer window-steps
-    runs the windowed arena; a group mixing reactive with oblivious
-    adversaries, or a protocol with neither ``run_stream`` nor
-    ``run_batch``, runs per lane through ``run_broadcast`` (reactive lanes
-    dispatch to the arena, oblivious lanes run the scalar block engine and
-    are stamped and noted); otherwise the protocol's own ``run_batch``
-    (Decay, Naive) runs the group in lockstep.
-    """
-    if trace is not None:
-        result = run_broadcast(
-            protocol, n, adversaries[0], seed=seeds[0], max_slots=int(caps[0]),
-            trace=trace,
-        )
-        result.extras["backend"] = "scalar-fallback"
-        _note_fallback(protocol, "trace= forces the scalar path", 1)
-        return [result]
-    from repro.arena.window import windowable_adversary
-
-    if all(
-        adversary is not None and windowable_adversary(adversary)
-        for adversary in adversaries
-    ):
-        # an all-reactive group whose every jammer has the window interface:
-        # the arena's windowed lane driver hosts it (bit-identical to the
-        # per-lane arena dispatch below, ~10x faster)
-        from repro.arena.run import run_broadcast_windowed_batch, supports_protocol
-
-        if supports_protocol(protocol):
-            # the windowed driver takes one cap per call, so group lanes by
-            # cap (grouping cannot change any lane's result)
-            results = [None] * len(seeds)
-            for cap in dict.fromkeys(caps.tolist()):
-                idx = [k for k, c in enumerate(caps.tolist()) if c == cap]
-                sub = run_broadcast_windowed_batch(
-                    protocol,
-                    n,
-                    [adversaries[k] for k in idx],
-                    [seeds[k] for k in idx],
-                    max_slots=int(cap),
-                )
-                for k, r in zip(idx, sub):
-                    results[k] = r
-            return results
-    reactive = [hasattr(adversary, "jam_slot") for adversary in adversaries]
-    if any(reactive) or not hasattr(protocol, "run_batch"):
-        # reactive (adaptive) adversaries cannot run on the oblivious block
-        # engine; run_broadcast dispatches those lanes to the arena runtime
-        results = []
-        for adversary, seed, cap in zip(adversaries, seeds, caps):
-            result = run_broadcast(protocol, n, adversary, seed=seed, max_slots=int(cap))
-            if not hasattr(adversary, "jam_slot"):
-                # this lane ran the scalar block engine (reactive lanes run
-                # the vectorized arena by design and are not stamped)
-                result.extras["backend"] = "scalar-fallback"
-            results.append(result)
-        fallbacks = len(reactive) - sum(reactive)
-        if fallbacks:
-            batched = hasattr(protocol, "run_stream") or hasattr(protocol, "run_batch")
-            _note_fallback(
-                protocol,
-                "split a mixed reactive/oblivious batch"
-                if batched
-                else "has neither run_stream nor run_batch",
-                fallbacks,
+    results: List[BroadcastResult] = []
+    for start in range(0, len(seeds), width):
+        stop = start + width
+        results.extend(
+            run_broadcast_windowed_batch(
+                protocol, n, adversaries[start:stop], seeds[start:stop],
+                max_slots=caps[start:stop],
             )
+        )
+    return results
+
+
+def _run_oblivious(protocol, n, adversaries, seeds, caps, width):
+    """Oblivious (or absent) adversaries: one :class:`LaneStream` for a
+    protocol with ``run_stream``; else groups of ``width`` trials through
+    the protocol's own ``run_batch`` (Decay, Naive) or, for a protocol with
+    neither, per trial through the scalar block engine — stamped and
+    noted."""
+    if hasattr(protocol, "run_stream"):
+        stream = LaneStream(n, seeds, adversaries, caps.tolist(), width)
+        results = protocol.run_stream(stream)
+        missing = [t for t, r in enumerate(results) if r is None]
+        if missing:  # a driver bug, not a user error — fail loudly
+            raise RuntimeError(f"stream driver left trials {missing} unfinished")
         return results
-    for adversary in adversaries:
-        if adversary is not None:
-            adversary.reset()
-    return protocol.run_batch(BatchNetwork(n, seeds, adversaries, max_slots=caps))
+    results = []
+    for start in range(0, len(seeds), width):
+        stop = start + width
+        group = adversaries[start:stop]
+        if hasattr(protocol, "run_batch"):
+            for adversary in group:
+                if adversary is not None:
+                    adversary.reset()
+            results.extend(
+                protocol.run_batch(
+                    BatchNetwork(n, seeds[start:stop], group, max_slots=caps[start:stop])
+                )
+            )
+            continue
+        for adversary, seed, cap in zip(group, seeds[start:stop], caps[start:stop]):
+            result = run_broadcast(protocol, n, adversary, seed=seed, max_slots=int(cap))
+            result.extras["backend"] = "scalar-fallback"
+            results.append(result)
+        _note_fallback(protocol, "has neither run_stream nor run_batch", len(group))
+    return results
 
 
 def run_broadcast_stream(
@@ -802,12 +765,13 @@ def run_broadcast_stream(
     or refill schedule (``tests/core/test_lane_schedule_invariance.py``).
     ``lane_width=None`` takes :func:`stream_width`.
 
-    The engine is chosen once.  Trials of a protocol with a
-    ``run_stream``, with no reactive adversary and no ``trace=``, run as one
-    :class:`LaneStream`: exactly ``lane_width`` slots stay busy, and a slot
-    whose trial retires (halts, truncates at its own cap, or runs out of
-    epochs) is refilled from the pending queue.  Everything else runs in
-    groups of ``lane_width`` trials through :func:`_run_block`.
+    The trial list is split once by adversary family.  Reactive trials run
+    on the windowed arena in lockstep batches of ``lane_width``; the rest
+    run as one :class:`LaneStream` — exactly ``lane_width`` slots stay
+    busy, and a slot whose trial retires (halts, truncates at its own cap,
+    or runs out of epochs) is refilled from the pending queue — or, for a
+    protocol without ``run_stream``, through :func:`_run_oblivious`'s
+    ``run_batch`` and scalar rungs.
 
     ``trace=`` (a :class:`~repro.core.trace.TraceRecorder`) is honored only
     by the scalar engine, so it takes exactly one trial: a trace records one
@@ -825,33 +789,36 @@ def run_broadcast_stream(
             f"{len(adversaries)} adversaries for {len(seeds)} seeds (need one per trial)"
         )
     caps = _lane_caps(max_slots, len(seeds))
-    if trace is not None and len(seeds) > 1:
-        raise ValueError(
-            "trace recording is scalar-only: got trace= with "
-            f"{len(seeds)} trials — record one trial per trace, or drop "
-            "trace= to run batched"
-        )
-    width = stream_width(protocol) if lane_width is None else max(1, int(lane_width))
-    if (
-        trace is not None
-        or not hasattr(protocol, "run_stream")
-        or any(hasattr(adversary, "jam_slot") for adversary in adversaries)
-    ):
-        results: List[BroadcastResult] = []
-        for start in range(0, len(seeds), width):
-            stop = start + width
-            results.extend(
-                _run_block(
-                    protocol, n, adversaries[start:stop], seeds[start:stop],
-                    caps[start:stop], trace,
-                )
+    if trace is not None:
+        if len(seeds) > 1:
+            raise ValueError(
+                "trace recording is scalar-only: got trace= with "
+                f"{len(seeds)} trials — record one trial per trace, or drop "
+                "trace= to run batched"
             )
-        return results
-    stream = LaneStream(n, seeds, adversaries, caps.tolist(), width)
-    results = protocol.run_stream(stream)
-    missing = [t for t, r in enumerate(results) if r is None]
-    if missing:  # a driver bug, not a user error — fail loudly
-        raise RuntimeError(f"stream driver left trials {missing} unfinished")
+        result = run_broadcast(
+            protocol, n, adversaries[0], seed=seeds[0], max_slots=int(caps[0]),
+            trace=trace,
+        )
+        result.extras["backend"] = "scalar-fallback"
+        _note_fallback(protocol, "trace= forces the scalar path", 1)
+        return [result]
+    width = stream_width(protocol) if lane_width is None else max(1, int(lane_width))
+    results: List[Optional[BroadcastResult]] = [None] * len(seeds)
+    reactive = [hasattr(adversary, "jam_slot") for adversary in adversaries]
+    partition = (
+        ([t for t, r in enumerate(reactive) if r], _run_reactive),
+        ([t for t, r in enumerate(reactive) if not r], _run_oblivious),
+    )
+    for idx, run in partition:
+        if not idx:
+            continue
+        part = run(
+            protocol, n, [adversaries[t] for t in idx], [seeds[t] for t in idx],
+            caps[idx], width,
+        )
+        for t, result in zip(idx, part):
+            results[t] = result
     return results
 
 

@@ -5,10 +5,11 @@ loop* — because a trial's randomness derives from its spec, never from which
 worker ran it or when:
 
 * :func:`run_campaign` runs :class:`~repro.exp.spec.CampaignSpec` trials
-  either in-process (``workers=1`` — the determinism-test fallback, lane
-  batched by default) or *sharded* across a ``ProcessPoolExecutor``: pending
-  trials are split into per-cell lane blocks of ``STREAM_BLOCK_FACTOR *
-  stream_width`` trials, each worker runs its blocks as
+  as lane streams (:func:`run_trial_batch`), either in-process
+  (``workers=1`` — the determinism-test fallback) or *sharded* across a
+  ``ProcessPoolExecutor``: pending trials are split into per-cell lane
+  blocks of ``STREAM_BLOCK_FACTOR * stream_width`` trials, each worker
+  runs its blocks as
   continuously-refilled lane streams (compaction/refill, DESIGN.md
   section 13) and appends the finished records to its own
   ``<store>.shard-<k>.jsonl`` (single-writer per file, flushed per block),
@@ -16,7 +17,7 @@ worker ran it or when:
   deterministic key-sorted merge (:func:`repro.exp.shard.merge_shards`).
   The merged store is row-for-row identical (up to canonical sort and
   ``wall_time``) to the ``workers=1`` run — ``tests/exp/
-  test_shard_equivalence.py`` pins that across worker counts and backends.
+  test_shard_equivalence.py`` pins that across worker counts.
 * Adaptive campaigns (``ci_target`` set) run seed *waves* through the same
   machinery under :class:`repro.exp.adaptive.AdaptiveController`, recording
   one stopping decision per cell in the store.
@@ -277,7 +278,7 @@ def _shard_worker_init(
             )
 
 
-def _run_shard_block(specs: List[TrialSpec], backend: str, attempt: int = 0):
+def _run_shard_block(specs: List[TrialSpec], attempt: int = 0):
     """Execute one lane block inside a worker; flush it to the worker's
     shard; return the records plus the block's scalar-fallback tally and
     telemetry aggregates (both plain dicts — the worker -> parent
@@ -295,10 +296,7 @@ def _run_shard_block(specs: List[TrialSpec], backend: str, attempt: int = 0):
         inj.on_block_start(keys, attempt)
         inj.check_trials(keys, attempt)
     with collect_fallback_notes() as notes:
-        if backend == "scalar":
-            records = [run_trial(spec) for spec in specs]
-        else:
-            records = list(run_trial_batch(specs))
+        records = list(run_trial_batch(specs))
     fh = _SHARD_STATE["fh"]
     if fh is not None:
         lines = []
@@ -322,7 +320,6 @@ def _execute_sharded(
     store: ResultStore,
     *,
     workers: int,
-    backend: str,
     record_one: Callable[[TrialRecord], None],
     notes: FallbackNotes,
     policy: Optional[SupervisorPolicy] = None,
@@ -347,7 +344,6 @@ def _execute_sharded(
     Supervisor(
         store=store,
         workers=workers,
-        backend=backend,
         record_one=record_one,
         notes=notes,
         policy=policy,
@@ -412,7 +408,6 @@ def run_campaign(
     *,
     workers: int = 0,
     progress: Optional[ProgressCallback] = None,
-    backend: str = "auto",
     telemetry: bool = False,
     policy: Optional[SupervisorPolicy] = None,
     recovery: Optional[RecoveryLog] = None,
@@ -436,20 +431,15 @@ def run_campaign(
         ``0`` -> one per CPU; ``1`` -> in-process serial loop (no
         multiprocessing, the determinism-test fallback); ``>1`` -> sharded
         process pool: per-cell lane blocks, one shard file per worker, a
-        deterministic merge at the end.
+        deterministic merge at the end.  Either way every lane block runs
+        through the lane engine (:func:`run_trial_batch`), and aggregates
+        are byte-identical across worker counts; only ``wall_time`` (not
+        aggregated) reflects the execution shape.  The engine flushes once
+        per lane block instead of once per trial, so an interrupt can lose
+        up to one lane block in flight.
     progress:
         Optional per-completion callback (for adaptive campaigns ``total``
         is the work known so far and grows as waves are scheduled).
-    backend:
-        ``"auto"`` (default) and ``"batched"`` run every lane block through
-        the lane engine (:func:`run_trial_batch`) — in-process when
-        ``workers == 1``, inside each worker otherwise, so a sharded run no
-        longer forfeits batching; ``"scalar"`` forces the one-trial-at-a-
-        time loop (same sharding, scalar execution).  Aggregates are
-        byte-identical across every (workers, backend) combination; only
-        ``wall_time`` (not aggregated) reflects the execution shape.  The
-        batched path flushes once per kernel pass instead of once per
-        trial, so an interrupt can lose up to one lane block in flight.
     telemetry:
         Record run telemetry (:mod:`repro.obs`) to
         ``<store>.telemetry.jsonl`` — needs an on-disk store, since workers
@@ -476,8 +466,6 @@ def run_campaign(
     non-materialized store the list is empty by design (stream-aggregate
     such stores instead of materializing them).
     """
-    if backend not in ("auto", "scalar", "batched"):
-        raise ValueError(f"unknown backend {backend!r} (auto, scalar, batched)")
     if store is None:
         store = ResultStore(None)
     with _sigterm_as_interrupt(), _env_fault_injector():
@@ -490,11 +478,11 @@ def run_campaign(
             with collect_telemetry(telemetry_path(store.path)):
                 return _campaign_body(
                     campaign, store, workers=workers, progress=progress,
-                    backend=backend, policy=policy, recovery=recovery,
+                    policy=policy, recovery=recovery,
                 )
         return _campaign_body(
             campaign, store, workers=workers, progress=progress,
-            backend=backend, policy=policy, recovery=recovery,
+            policy=policy, recovery=recovery,
         )
 
 
@@ -504,7 +492,6 @@ def _campaign_body(
     *,
     workers: int,
     progress: Optional[ProgressCallback],
-    backend: str,
     policy: Optional[SupervisorPolicy],
     recovery: Optional[RecoveryLog],
 ) -> List[TrialRecord]:
@@ -518,7 +505,7 @@ def _campaign_body(
     if campaign.adaptive:
         return _run_adaptive(
             campaign, store, workers=workers, progress=progress,
-            backend=backend, policy=policy, recovery=recovery,
+            policy=policy, recovery=recovery,
         )
     done_keys = store.completed_keys()
     specs = campaign.trial_specs()
@@ -540,19 +527,14 @@ def _campaign_body(
     with collect_fallback_notes() as notes:
         try:
             if workers == 1 or total == 0:
-                if backend in ("auto", "batched"):
-                    for group in _group_by_cell(pending):
-                        for record in run_trial_batch(group):
-                            record_one(record)
-                else:
-                    for spec in pending:
-                        record_one(run_trial(spec))
+                for group in _group_by_cell(pending):
+                    for record in run_trial_batch(group):
+                        record_one(record)
             else:
                 _execute_sharded(
                     pending,
                     store,
                     workers=workers,
-                    backend=backend,
                     record_one=record_one,
                     notes=notes,
                     policy=policy,
@@ -597,7 +579,6 @@ def _run_adaptive(
     *,
     workers: int,
     progress: Optional[ProgressCallback],
-    backend: str,
     policy: Optional[SupervisorPolicy],
     recovery: Optional[RecoveryLog],
 ) -> List[TrialRecord]:
@@ -635,20 +616,15 @@ def _run_adaptive(
                     break
                 total = done + len(wave)
                 if workers == 1:
-                    if backend in ("auto", "batched"):
-                        for group in _group_by_cell(wave):
-                            for record in run_trial_batch(group):
-                                record_one(record)
-                    else:
-                        for spec in wave:
-                            record_one(run_trial(spec))
+                    for group in _group_by_cell(wave):
+                        for record in run_trial_batch(group):
+                            record_one(record)
                 else:
                     quarantined_before = len(recovery.quarantined)
                     _execute_sharded(
                         wave,
                         store,
                         workers=min(workers, len(wave)),
-                        backend=backend,
                         record_one=record_one,
                         notes=notes,
                         policy=policy,

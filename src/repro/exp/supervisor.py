@@ -214,7 +214,6 @@ class Supervisor:
         *,
         store: ResultStore,
         workers: int,
-        backend: str,
         record_one: Callable[[TrialRecord], None],
         notes: FallbackNotes,
         policy: Optional[SupervisorPolicy] = None,
@@ -222,7 +221,6 @@ class Supervisor:
     ):
         self.store = store
         self.workers = workers
-        self.backend = backend
         self.record_one = record_one
         self.notes = notes
         self.policy = policy or SupervisorPolicy()
@@ -280,7 +278,7 @@ class Supervisor:
         try:
             pairs = [
                 (executor.submit(
-                    self._pool._run_shard_block, block.specs, self.backend, block.attempt
+                    self._pool._run_shard_block, block.specs, block.attempt
                 ), block)
                 for block in queue
             ]
@@ -325,7 +323,6 @@ class Supervisor:
                         executor.submit(
                             self._pool._run_shard_block,
                             block.specs,
-                            self.backend,
                             block.attempt,
                         )
                     )
@@ -357,7 +354,6 @@ class Supervisor:
                     executor.submit(
                         self._pool._run_shard_block,
                         block.specs,
-                        self.backend,
                         block.attempt,
                     )
                 ]
@@ -407,10 +403,7 @@ class Supervisor:
         try:
             if inj is not None:
                 inj.check_trials(keys, attempt)
-            if self.backend == "scalar":
-                records = [self._pool.run_trial(s) for s in specs]
-            else:
-                records = list(self._pool.run_trial_batch(specs))
+            records = list(self._pool.run_trial_batch(specs))
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:

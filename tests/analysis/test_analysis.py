@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import BlanketJammer, MultiCastCore
+from repro import BlanketJammer, MultiCastCore, run_broadcast
 from repro.analysis import (
     Summary,
     fit_linear,
@@ -15,6 +15,7 @@ from repro.analysis import (
     sweep,
     theory,
 )
+from repro.sim.rng import derive_seed
 
 
 class TestSummary:
@@ -153,9 +154,11 @@ class TestTrialsAndSweeps:
 
 
 class TestBackends:
-    """run_trials backends must be interchangeable: same seeds, same batch."""
+    """run_trials runs lane streams — serial or one stream per worker slice —
+    and every trial equals its per-trial run_broadcast oracle."""
 
     N = 16
+    TRIALS = 5
 
     def _factory(self):
         return MultiCastCore(self.N, 2_000)
@@ -163,22 +166,33 @@ class TestBackends:
     def _adversary(self, seed):
         return BlanketJammer(1_500, channels=0.5, seed=seed)
 
-    def _run(self, backend, **kwargs):
+    def _run(self, **kwargs):
         return run_trials(
             self._factory,
             self.N,
             self._adversary,
-            trials=5,
+            trials=self.TRIALS,
             base_seed=9,
             label="backend-test",
-            backend=backend,
             **kwargs,
         )
+
+    def _oracle(self):
+        """Per-trial run_broadcast over the same derived seeds."""
+        return [
+            run_broadcast(
+                self._factory(),
+                self.N,
+                self._adversary(derive_seed(9, "backend-test", "eve", t)),
+                seed=derive_seed(9, "backend-test", "net", t),
+            )
+            for t in range(self.TRIALS)
+        ]
 
     @staticmethod
     def _assert_batches_equal(a, b):
         assert len(a) == len(b)
-        for x, y in zip(a.results, b.results):
+        for x, y in zip(a, b):
             assert x.slots == y.slots
             assert x.adversary_spend == y.adversary_spend
             np.testing.assert_array_equal(x.node_energy, y.node_energy)
@@ -186,16 +200,35 @@ class TestBackends:
             np.testing.assert_array_equal(x.halt_slot, y.halt_slot)
 
     def test_batched_equals_scalar(self):
-        self._assert_batches_equal(self._run("scalar"), self._run("batched"))
+        self._assert_batches_equal(self._run().results, self._oracle())
 
     def test_lane_width_is_not_semantic(self):
         self._assert_batches_equal(
-            self._run("batched", lane_width=1), self._run("batched", lane_width=64)
+            self._run(lane_width=1).results, self._run(lane_width=64).results
         )
 
-    def test_auto_uses_batched_for_serial_runs(self):
-        self._assert_batches_equal(self._run("auto"), self._run("scalar"))
+    def test_auto_uses_batched_for_serial_runs(self, monkeypatch):
+        """A serial run is one lane stream over the whole trial list."""
+        import repro.core.batch as batch
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            self._run("vectorized")
+        calls = []
+        stream = batch.run_broadcast_stream
+
+        def spy(protocol, n, adversaries, seeds, **kwargs):
+            calls.append(len(seeds))
+            return stream(protocol, n, adversaries, seeds, **kwargs)
+
+        monkeypatch.setattr(batch, "run_broadcast_stream", spy)
+        self._assert_batches_equal(self._run().results, self._oracle())
+        assert calls == [self.TRIALS]
+
+    def test_workers_split_into_streams_match_serial(self):
+        """workers=2 fans contiguous trial slices over fork_map, one stream
+        per slice: the batch equals the serial one, trial for trial."""
+        self._assert_batches_equal(
+            self._run(workers=2).results, self._run(workers=1).results
+        )
+        self._assert_batches_equal(
+            self._run(workers=2, first_trial=3).results,
+            self._run(workers=1, first_trial=3).results,
+        )

@@ -77,7 +77,7 @@ def assert_parity(scalar, arena, context, *, compare_extras=False):
         # the arena stamps which execution path ran — a runtime annotation
         # the oracle result cannot carry, excluded from the exact comparison
         extras = dict(arena.extras)
-        assert extras.pop("backend") in ("arena-slot", "arena-window"), context
+        assert extras.pop("backend") == "arena-window", context
         assert scalar.extras == extras, context
 
 

@@ -184,24 +184,29 @@ def test_streamless_protocols_fall_back_unchanged(protocol_name):
 
 
 def test_run_trials_backends_agree():
-    """The stats-layer backends: batched (stream) and scalar yield the
-    identical TrialBatch."""
+    """The stats layer: run_trials (one lane stream) yields exactly the
+    per-trial run_broadcast oracle over the same derived seeds."""
     from repro.analysis.stats import run_trials
+    from repro.sim.rng import derive_seed
 
-    def batch(backend):
-        return run_trials(
-            STREAMING_PROTOCOLS["multicast"],
+    def jammer(seed):
+        return build_jammer("blanket", BUDGET, seed, n=N)
+
+    stream = run_trials(
+        STREAMING_PROTOCOLS["multicast"], N, jammer,
+        trials=5, base_seed=42, label="invariance",
+    )
+    scalar = [
+        run_broadcast(
+            STREAMING_PROTOCOLS["multicast"](),
             N,
-            lambda seed: build_jammer("blanket", BUDGET, seed, n=N),
-            trials=5,
-            base_seed=42,
-            label="invariance",
-            backend=backend,
+            jammer(derive_seed(42, "invariance", "eve", t)),
+            seed=derive_seed(42, "invariance", "net", t),
         )
-
-    stream, scalar = batch("batched"), batch("scalar")
-    assert len(stream.results) == len(scalar.results) == 5
-    for t, (s, sc) in enumerate(zip(stream.results, scalar.results)):
+        for t in range(5)
+    ]
+    assert len(stream.results) == len(scalar) == 5
+    for t, (s, sc) in enumerate(zip(stream.results, scalar)):
         assert_rows_equal(s, sc, ("run_trials", "stream-vs-scalar", f"trial={t}"))
 
 

@@ -2,8 +2,8 @@
 per lane pass.
 
 ``run_broadcast_batch`` warns on stderr when lanes run the scalar block
-engine instead of batching (protocol with neither ``run_stream`` nor
-``run_batch``, or a mixed reactive/oblivious batch).  A campaign pushes one
+engine instead of batching (a protocol with neither ``run_stream`` nor
+``run_batch``, or a ``trace=`` request).  A campaign pushes one
 batch call per kernel pass, so the naive warning repeated once per pass; the
 fix collects the counts in a campaign-scoped :class:`FallbackNotes` and
 emits one summary line per cause.
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import MultiCast
 from repro.core.batch import (
-    ARENA_SLOT_PATH,
     FallbackNotes,
     collect_fallback_notes,
     run_broadcast_batch,
@@ -47,7 +46,7 @@ class TestFallbackNotes:
         notes = FallbackNotes()
         notes.add("MultiCast", "has no run_batch", 2)
         notes.add("MultiCast", "has no run_batch", 2)
-        notes.add("MultiCast", "split a mixed reactive/oblivious batch", 1)
+        notes.add("MultiCast", "trace= forces the scalar path", 1)
         other = FallbackNotes()
         other.merge(notes.snapshot())
         other.add("MultiCast", "has no run_batch", 1)
@@ -55,20 +54,7 @@ class TestFallbackNotes:
         lines = other.summary_lines()
         assert len(lines) == 2
         assert "5 lane(s) in 3 kernel pass(es)" in lines[0]
-
-    def test_each_line_names_the_path_taken(self):
-        notes = FallbackNotes()
-        notes.add("MultiCast", "has no run_batch", 2)
-        notes.add(
-            "arena[Custom]", "has no window-sensing interface", 1,
-            path=ARENA_SLOT_PATH,
-        )
-        merged = FallbackNotes()  # the path survives the worker transport
-        merged.merge(notes.snapshot())
-        scalar_line, arena_line = merged.summary_lines()
-        assert "ran on the scalar fallback" in scalar_line
-        assert "ran on the slot-stepped arena" in arena_line
-        assert "scalar" not in arena_line
+        assert lines[0].endswith("ran on the scalar fallback")
 
     def test_uncollected_call_still_warns_per_call(self, batchless_multicast, capsys):
         for seed in (0, 1):

@@ -161,13 +161,15 @@ class TestForkMap:
 
 class TestBatchedBackend:
     """The serial campaign path batches each cell's trials; records (minus
-    wall_time, which reflects execution shape) must match the scalar loop."""
+    wall_time, which reflects execution shape) must match the per-trial
+    run_trial oracle."""
 
     def test_batched_serial_equals_scalar_serial(self):
         c = small_campaign()
-        batched = run_campaign(c, workers=1)  # backend="auto"
-        scalar = run_campaign(c, workers=1, backend="scalar")
+        batched = run_campaign(c, workers=1)
+        scalar = [run_trial(spec) for spec in sorted(c.trial_specs(), key=lambda s: s.key())]
         assert aggregate_bytes(batched) == aggregate_bytes(scalar)
+        assert len(batched) == len(scalar)
         for a, b in zip(batched, scalar):
             a = dataclasses.replace(a, wall_time=0.0)
             b = dataclasses.replace(b, wall_time=0.0)
@@ -218,10 +220,6 @@ class TestBatchedBackend:
 
     def test_run_trial_batch_empty(self):
         assert list(run_trial_batch([])) == []
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_campaign(small_campaign(), workers=1, backend="turbo")
 
     def test_resume_skips_with_batched_backend(self, tmp_path):
         c = small_campaign(protocols=["multicast"], jammers=["blanket"], trials=4)

@@ -1,11 +1,11 @@
 """Differential suite: sharded campaigns are row-identical to serial ones.
 
 The contract under test (DESIGN.md section 10): for a fixed campaign spec,
-the merged store produced by any (workers, backend) combination holds exactly
-the same rows — same keys, same payloads, everything except ``wall_time`` —
-as the ``workers=1, backend=batched`` reference run, up to canonical key
-order.  Trial seeds derive from spec identity alone, so scheduling must never
-leak into results; this suite is what keeps that true as the pool evolves.
+the merged store produced by any worker count holds exactly the same rows —
+same keys, same payloads, everything except ``wall_time`` — as the per-trial
+``run_trial`` oracle, up to canonical key order.  Trial seeds derive from
+spec identity alone, so scheduling must never leak into results; this suite
+is what keeps that true as the pool evolves.
 """
 
 import json
@@ -16,15 +16,14 @@ from repro.exp import (
     ResultStore,
     aggregate,
     run_campaign,
+    run_trial,
     shard_paths,
 )
 
 CONFIGS = [
-    ("serial-scalar", 1, "scalar"),
-    ("serial-batched", 1, "batched"),
-    ("sharded-2", 2, "auto"),
-    ("sharded-3", 3, "auto"),
-    ("sharded-2-scalar", 2, "scalar"),
+    ("serial", 1),
+    ("sharded-2", 2),
+    ("sharded-3", 3),
 ]
 
 
@@ -55,30 +54,38 @@ def canonical_rows(path):
     return sorted(rows, key=lambda d: d["key"])
 
 
-def run_config(tmp_path, name, workers, backend, campaign):
+def oracle_rows(campaign):
+    """The campaign's rows as the per-trial ``run_trial`` oracle writes them,
+    in :func:`canonical_rows` form."""
+    rows = []
+    for spec in campaign.trial_specs():
+        data = json.loads(run_trial(spec).to_json_line())
+        data.pop("wall_time", None)
+        rows.append(data)
+    return sorted(rows, key=lambda d: d["key"])
+
+
+def run_config(tmp_path, name, workers, campaign):
     path = str(tmp_path / f"{name}.jsonl")
     with ResultStore(path) as store:
-        records = run_campaign(campaign, store, workers=workers, backend=backend)
+        records = run_campaign(campaign, store, workers=workers)
     return path, records
 
 
 class TestShardEquivalence:
     def test_every_config_matches_the_batched_reference(self, tmp_path):
         campaign = small_campaign()
-        reference = None
-        for name, workers, backend in CONFIGS:
-            path, records = run_config(tmp_path, name, workers, backend, campaign)
+        reference = oracle_rows(campaign)
+        assert len(reference) == len(campaign)
+        for name, workers in CONFIGS:
+            path, records = run_config(tmp_path, name, workers, campaign)
             assert len(records) == len(campaign)
             rows = canonical_rows(path)
-            assert len(rows) == len(campaign), name
-            if reference is None:
-                reference = rows
-            else:
-                assert rows == reference, f"{name} diverged from the reference"
+            assert rows == reference, f"{name} diverged from the run_trial oracle"
 
     def test_merge_leaves_no_shard_files(self, tmp_path):
         campaign = small_campaign(trials=3)
-        path, _ = run_config(tmp_path, "clean", 3, "auto", campaign)
+        path, _ = run_config(tmp_path, "clean", 3, campaign)
         assert shard_paths(path) == []
         assert [p for p in os.listdir(tmp_path) if "shard" in p] == []
 
@@ -99,31 +106,32 @@ class TestShardEquivalence:
 
     def test_aggregates_are_byte_identical_across_configs(self, tmp_path):
         campaign = small_campaign(trials=3)
-        blobs = set()
-        for name, workers, backend in CONFIGS:
-            _, records = run_config(tmp_path, f"agg-{name}", workers, backend, campaign)
-            cells = aggregate(records)
-            blobs.add(
-                json.dumps(
-                    [
-                        {
-                            "cell": list(c.cell),
-                            "trials": c.trials,
-                            "success_rate": c.success_rate,
-                            "summaries": {
-                                m: s.__dict__ for m, s in sorted(c.summaries.items())
-                            },
-                        }
-                        for c in cells
-                    ],
-                    sort_keys=True,
-                )
+
+        def blob(records):
+            return json.dumps(
+                [
+                    {
+                        "cell": list(c.cell),
+                        "trials": c.trials,
+                        "success_rate": c.success_rate,
+                        "summaries": {
+                            m: s.__dict__ for m, s in sorted(c.summaries.items())
+                        },
+                    }
+                    for c in aggregate(records)
+                ],
+                sort_keys=True,
             )
+
+        blobs = {blob([run_trial(spec) for spec in campaign.trial_specs()])}
+        for name, workers in CONFIGS:
+            _, records = run_config(tmp_path, f"agg-{name}", workers, campaign)
+            blobs.add(blob(records))
         assert len(blobs) == 1
 
     def test_sharded_resume_completes_a_partial_store(self, tmp_path):
         campaign = small_campaign(trials=4)
-        full_path, _ = run_config(tmp_path, "full", 1, "batched", campaign)
+        full_path, _ = run_config(tmp_path, "full", 1, campaign)
         full_rows = canonical_rows(full_path)
 
         # seed a store with a strict prefix of the rows, then resume sharded
@@ -145,6 +153,6 @@ class TestShardEquivalence:
         campaign = small_campaign(
             protocols=["multicast"], jammers=["trailing"], trials=4, budget=2000
         )
-        a, _ = run_config(tmp_path, "reactive-serial", 1, "auto", campaign)
-        b, _ = run_config(tmp_path, "reactive-sharded", 2, "auto", campaign)
+        a, _ = run_config(tmp_path, "reactive-serial", 1, campaign)
+        b, _ = run_config(tmp_path, "reactive-sharded", 2, campaign)
         assert canonical_rows(a) == canonical_rows(b)

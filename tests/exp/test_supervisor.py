@@ -61,12 +61,11 @@ class _StubPool:
         return [self.run_trial(s) for s in specs]
 
 
-def _supervisor(store, recovery, backend="scalar"):
+def _supervisor(store, recovery):
     delivered = []
     sup = Supervisor(
         store=store,
         workers=2,
-        backend=backend,
         record_one=delivered.append,
         notes=FallbackNotes(),
         policy=SupervisorPolicy(backoff_base=0.001, backoff_cap=0.002),
@@ -76,11 +75,10 @@ def _supervisor(store, recovery, backend="scalar"):
 
 
 class TestBisect:
-    @pytest.mark.parametrize("backend", ["scalar", "batched"])
-    def test_narrows_to_the_culprit_and_delivers_the_rest(self, backend):
+    def test_narrows_to_the_culprit_and_delivers_the_rest(self):
         specs = [_spec(t) for t in range(8)]
         recovery = RecoveryLog()
-        sup, delivered = _supervisor(ResultStore(None), recovery, backend)
+        sup, delivered = _supervisor(ResultStore(None), recovery)
         sup._pool = _StubPool(poison="/t5")
         sup._bisect(specs, attempt=3, cause=None)
         assert [q.key for q in recovery.quarantined] == [_spec(5).key()]
