@@ -40,17 +40,17 @@ run core_scaling_T400000 core_scaling
 run core_scaling_T1600000 core_scaling
 # unjammed MultiCastAdv additive term (EXPERIMENTS.md section 10); a few
 # ten-million-slot trials — the longest cells of the whole record
-WORKERS=1 run adv_unjammed adv_unjammed
+run adv_unjammed adv_unjammed
 # jammed MultiCastAdvC across channel caps (EXPERIMENTS.md section 11,
 # Thm 7.2) — the first committed jammed unknown-n campaign, feasible only
-# on the batched Fig. 4/6 kernel (DESIGN.md section 9).  Serial and
-# sharded runs use that same LaneStream kernel; the MultiCastAdv campaigns
-# run with WORKERS=1 because each one's cost sits in its n = 32 cell, whose
-# 5 trials (3 for adv_unjammed) form one lane block that sharding cannot
-# split — a second worker could only overlap the small n = 8 and 16 cells
-WORKERS=1 run limited_adv_C2 limited_adv
-WORKERS=1 run limited_adv_C4 limited_adv
-WORKERS=1 run limited_adv_C8 limited_adv
+# on the batched Fig. 4/6 kernel (DESIGN.md section 9).  Each campaign's
+# cost sits in its n = 32 cell of 5 trials (3 for adv_unjammed); sharded
+# blocks hold at most a cell's share of the workers (DESIGN.md section
+# 10.1), so that cell splits across the workers instead of running as one
+# block on one of them
+run limited_adv_C2 limited_adv
+run limited_adv_C4 limited_adv
+run limited_adv_C8 limited_adv
 # adaptive stopping demo (EXPERIMENTS.md section 12): trial counts are an
 # output here — cells run seed waves until the max_cost CI target is hit,
 # and the stopping decisions land in the store next to the trial rows

@@ -72,6 +72,12 @@ class DecayBroadcast:
         )
 
     @property
+    def block_slots(self) -> int:
+        """Rows per kernel pass — one Decay round — for the width rule
+        (:func:`repro.core.batch.stream_width`)."""
+        return self.round_slots
+
+    @property
     def name(self) -> str:
         return "Decay"
 

@@ -64,13 +64,22 @@ __all__ = [
     "collect_fallback_notes",
 ]
 
-#: Default trials per lane-batched kernel pass.  The sender-keyed block
-#: kernel does most of the amortizing on its own, so the remaining trade is
-#: cache residency: each lane adds ``block_slots * n`` coin doubles to the
-#: per-block working set, and on the 1-core reference box small widths win
-#: (measured in BENCH_engine.json).  Protocols that merge better advertise
-#: a ``stream_lane_width`` (:func:`stream_width`).
+#: The floor of the working-set width rule (:func:`stream_width`), and the
+#: width of a protocol that exposes no per-pass row count.  Each lane adds
+#: ``block_slots * n`` coin doubles to a kernel pass, and at the n = 64
+#: shared-coin kernel's 4096-row passes two lanes beat wider passes
+#: (measured in BENCH_engine.json).
 DEFAULT_LANE_WIDTH = 2
+
+#: Per-pass working set the width rule fills: one n = 64 lane of 4096 rows,
+#: so every n >= 32 shared-coin cell keeps :data:`DEFAULT_LANE_WIDTH` and a
+#: pass never holds more values than the gallery's do.
+PASS_VALUES = 2**18
+
+#: The ceiling of the width rule: past this many lanes the per-pass fixed
+#: costs are already amortized and a stream only holds more trials in
+#: flight.
+MAX_LANE_WIDTH = 32
 
 #: ``schedule(i) -> (R, p, threshold)``: iteration i's length, listen
 #: probability and halting threshold (halt iff noisy-slot count < threshold).
@@ -684,12 +693,23 @@ def _lane_caps(max_slots, count: int) -> np.ndarray:
 
 def stream_width(protocol) -> int:
     """The lane width ``protocol`` streams at: its advertised
-    ``stream_lane_width``, else :data:`DEFAULT_LANE_WIDTH`.
+    ``stream_lane_width``, else as many lanes as fit its per-pass working
+    set — ``PASS_VALUES // (block_slots * n)`` clamped to
+    [:data:`DEFAULT_LANE_WIDTH`, :data:`MAX_LANE_WIDTH`] — and
+    :data:`DEFAULT_LANE_WIDTH` for a protocol without ``block_slots`` or
+    ``n``.
 
     The one width rule: the stream entry point, ``run_trials``,
     ``run_trial_batch`` and the sharded pool's block sizing all ask it.  A
     throughput knob only — results are bit-identical at any width."""
-    return max(1, int(getattr(protocol, "stream_lane_width", DEFAULT_LANE_WIDTH)))
+    advertised = getattr(protocol, "stream_lane_width", None)
+    if advertised is not None:
+        return max(1, int(advertised))
+    rows, n = getattr(protocol, "block_slots", None), getattr(protocol, "n", None)
+    if rows is None or n is None:
+        return DEFAULT_LANE_WIDTH
+    fit = PASS_VALUES // (int(rows) * int(n))
+    return min(MAX_LANE_WIDTH, max(DEFAULT_LANE_WIDTH, fit))
 
 
 def _run_reactive(protocol, n, adversaries, seeds, caps, width):

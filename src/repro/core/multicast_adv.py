@@ -203,7 +203,9 @@ class MultiCastAdv:
     #: kernel is cache-bound at width 2, and refill keeps a wide stream
     #: occupied where a drained one would run its longest trial on a
     #: near-empty batch (DESIGN.md 9.3 and 13.3, measured in
-    #: BENCH_adv_batch.json and BENCH_adv_compaction.json).
+    #: BENCH_adv_batch.json and BENCH_adv_compaction.json).  Advertised
+    #: rather than left to the working-set rule, which needs the ``n`` an
+    #: unknown-n protocol does not have.
     stream_lane_width = 32
 
     def __init__(

@@ -8,8 +8,8 @@ worker ran it or when:
   as lane streams (:func:`run_trial_batch`), either in-process
   (``workers=1`` — the determinism-test fallback) or *sharded* across a
   ``ProcessPoolExecutor``: pending trials are split into per-cell lane
-  blocks of ``STREAM_BLOCK_FACTOR * stream_width`` trials, each worker
-  runs its blocks as
+  blocks of ``STREAM_BLOCK_FACTOR * stream_width`` trials (at most a
+  cell's share of the workers), each worker runs its blocks as
   continuously-refilled lane streams (compaction/refill, DESIGN.md
   section 13) and appends the finished records to its own
   ``<store>.shard-<k>.jsonl`` (single-writer per file, flushed per block),
@@ -90,10 +90,12 @@ __all__ = [
 ]
 
 #: Trials per lane slot in a sharded worker's block (``_lane_blocks``):
-#: blocks carry ``STREAM_BLOCK_FACTOR * stream_width`` trials so the
+#: blocks carry up to ``STREAM_BLOCK_FACTOR * stream_width`` trials so the
 #: worker's lane stream has a pending queue to refill from — a freed slot
 #: picks up the next trial instead of waiting for the block's straggler.
-#: Larger factors amortize better but coarsen work-stealing granularity.
+#: A cell's share of the workers caps it (``ceil(cell trials / workers)``),
+#: so a wide block never holds a cell's trials on one worker while another
+#: idles.
 STREAM_BLOCK_FACTOR = 4
 
 #: ``progress(done, total, record)`` — called after each newly completed
@@ -218,13 +220,14 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _lane_blocks(pending: Sequence[TrialSpec]) -> List[List[TrialSpec]]:
+def _lane_blocks(pending: Sequence[TrialSpec], workers: int) -> List[List[TrialSpec]]:
     """Split pending specs into per-cell lane blocks — the sharded unit of
     work.  Block size is :data:`STREAM_BLOCK_FACTOR` times the protocol's
     :func:`~repro.core.batch.stream_width`, the width the worker streams
     the block at (``run_trial_batch``), so every full block carries a
-    pending queue to compact over; the split never crosses a cell
-    boundary."""
+    pending queue to compact over — capped at the cell's pending trials
+    over ``workers`` (rounded up), so a cell narrower than that spreads
+    across every worker; the split never crosses a cell boundary."""
     blocks: List[List[TrialSpec]] = []
     for group in _group_by_cell(pending):
         first = group[0]
@@ -232,7 +235,7 @@ def _lane_blocks(pending: Sequence[TrialSpec]) -> List[List[TrialSpec]]:
             first.protocol, first.n, T=first.budget, C=first.channels,
             knobs=first.protocol_knobs,
         )
-        size = STREAM_BLOCK_FACTOR * stream_width(probe)
+        size = min(STREAM_BLOCK_FACTOR * stream_width(probe), -(-len(group) // workers))
         for start in range(0, len(group), size):
             blocks.append(group[start : start + size])
     return blocks
@@ -348,7 +351,7 @@ def _execute_sharded(
         notes=notes,
         policy=policy,
         recovery=recovery,
-    ).run(_lane_blocks(pending))
+    ).run(_lane_blocks(pending, workers))
 
 
 def _collect(store: ResultStore, keys: Set[str]) -> List[TrialRecord]:

@@ -15,8 +15,8 @@ Structure
   slot caps — the workload compaction exists for, with refills guaranteed
   on every multi-slot width — plus direct scalar cross-checks, the
   ``run_trials`` stream-vs-scalar identity, the stream-entry fallback for
-  protocols without a ``run_stream``, and a serial-vs-sharded campaign
-  identity.
+  protocols without a ``run_stream`` (at width 2 and at the width rule's
+  32, against scalar runs), and a serial-vs-sharded campaign identity.
 * The full protocol × oblivious-jammer matrix runs behind the ``slow``
   marker (drained batches are themselves pinned bit-identical to scalar
   per lane by ``test_batch_equivalence.py``, so they are a sound reference
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core import run_broadcast, run_broadcast_batch
-from repro.core.batch import run_broadcast_stream
+from repro.core.batch import run_broadcast_stream, stream_width
 from repro.exp.registry import build_jammer, build_protocol, oblivious_jammer_names
 
 N = 8
@@ -181,6 +181,27 @@ def test_streamless_protocols_fall_back_unchanged(protocol_name):
         )
     for t, (g, r) in enumerate(zip(got, reference)):
         assert_rows_equal(g, r, (protocol_name, "fallback", f"trial={t}"))
+
+
+@pytest.mark.parametrize("protocol_name", ["decay", "naive"])
+def test_streamless_protocols_at_their_rule_width(protocol_name):
+    """Decay and Naive stream at the width rule's 32 lanes (their passes are
+    a few rows of n = 8 nodes): more trials than one group, under staggered
+    per-trial caps, still reproduce the per-trial scalar runs."""
+    factory = STREAMLESS_PROTOCOLS[protocol_name]
+    assert stream_width(factory()) == 32
+    trials = 40
+    seeds = [1000 + t for t in range(trials)]
+    caps = [CAPS[t % len(CAPS)] for t in range(trials)]
+    got = run_broadcast_stream(
+        factory(), N, jammers_for("blanket", trials), seeds, max_slots=caps
+    )
+    advs = jammers_for("blanket", trials)
+    for t in range(trials):
+        reference = run_broadcast(
+            factory(), N, advs[t], seed=seeds[t], max_slots=caps[t]
+        )
+        assert_rows_equal(got[t], reference, (protocol_name, "rule width", f"trial={t}"))
 
 
 def test_run_trials_backends_agree():

@@ -76,13 +76,14 @@ class TestFallbackNotes:
     def test_campaign_warns_once_with_the_full_count(
         self, batchless_multicast, capsys
     ):
-        # 6 trials at lane width 2 = 3 kernel passes; the old behavior
-        # printed 3 warnings, the campaign must print exactly one summary
+        # 6 trials at lane width 4 (the width rule at n = 16) = 2 kernel
+        # passes; the old behavior printed one warning per pass, the
+        # campaign must print exactly one summary
         run_campaign(fallback_campaign(trials=6), ResultStore(None), workers=1)
         err = capsys.readouterr().err
         lines = [l for l in err.splitlines() if "scalar fallback" in l]
         assert len(lines) == 1
-        assert "6 lane(s) in 3 kernel pass(es)" in lines[0]
+        assert "6 lane(s) in 2 kernel pass(es)" in lines[0]
 
     def test_fully_batched_campaign_warns_nothing(self, capsys):
         run_campaign(fallback_campaign(trials=2), ResultStore(None), workers=1)

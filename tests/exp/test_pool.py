@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import types
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.exp import (
     run_trial_batch,
 )
 from repro import BlanketJammer, MultiCast
-from repro.core.batch import stream_width
+from repro.core.batch import DEFAULT_LANE_WIDTH, stream_width
 from repro.exp.pool import STREAM_BLOCK_FACTOR, _lane_blocks
 from repro.exp.registry import build_protocol, protocol_names
 
@@ -189,8 +190,9 @@ class TestBatchedBackend:
     def test_lane_width_defaults_to_protocol_preference(self, monkeypatch):
         """With no explicit lane_width, run_trial_batch streams at the
         protocol's stream_width: MultiCastAdv's advertised 32 (capped by the
-        3 pending trials), the default 2 otherwise — a throughput knob
-        only, so asserting the width the stream ran at suffices."""
+        3 pending trials), else the working-set rule (4 lanes for multicast
+        at n = 16) — a throughput knob only, so asserting the width the
+        stream ran at suffices."""
         import repro.core.batch as batch
 
         widths = []
@@ -209,9 +211,9 @@ class TestBatchedBackend:
         # one stream over all pending specs, every trial in flight at once
         assert widths == [(3, 3)]
         widths.clear()
-        mc = small_campaign(protocols=["multicast"], jammers=["none"], trials=3).trial_specs()
+        mc = small_campaign(protocols=["multicast"], jammers=["none"], trials=5).trial_specs()
         list(run_trial_batch(mc))
-        assert widths == [(3, 2)]  # DEFAULT_LANE_WIDTH = 2 slots
+        assert widths == [(5, 4)]  # 2**18 // (4096 rows * 16 nodes) slots
 
     def test_run_trial_batch_rejects_mixed_cells(self):
         mixed = small_campaign(protocols=["multicast", "core"], trials=1).trial_specs()
@@ -236,10 +238,50 @@ class TestBatchedBackend:
         assert aggregate_bytes(again) == aggregate_bytes(full)
 
 
+class TestStreamWidth:
+    """The width rule: an advertised stream_lane_width, else as many lanes
+    as fit PASS_VALUES per kernel pass, clamped to [2, 32]."""
+
+    @pytest.mark.parametrize(
+        "name, n, width",
+        [
+            # one n = 64 lane of 4096 rows fills a pass: the floor
+            ("core", 64, 2),
+            ("multicast", 64, 2),
+            ("multicast_c", 64, 2),
+            ("single_channel", 64, 2),
+            ("multicast", 32, 2),
+            ("multicast", 8, 8),
+            ("multicast", 16, 4),
+            ("core", 8, 8),
+            ("core", 16, 4),
+            # lg n-row Decay rounds and 64-row Naive blocks: the ceiling
+            ("decay", 8, 32),
+            ("decay", 64, 32),
+            ("naive", 16, 32),
+            ("naive", 64, 32),
+            ("adv", 8, 32),
+            ("adv_c", 32, 32),
+        ],
+    )
+    def test_registry_widths(self, name, n, width):
+        assert stream_width(build_protocol(name, n, T=2000, C=2)) == width
+
+    def test_advertised_width_wins(self):
+        proto = types.SimpleNamespace(stream_lane_width=32, block_slots=4096, n=64)
+        assert stream_width(proto) == 32
+
+    def test_no_block_slots_streams_at_the_floor(self):
+        assert stream_width(types.SimpleNamespace(n=8)) == DEFAULT_LANE_WIDTH == 2
+        assert stream_width(types.SimpleNamespace(block_slots=64)) == 2
+
+
 class TestLaneBlocks:
     """The sharded block rule: a worker's block holds STREAM_BLOCK_FACTOR
     times the width it is streamed at, so every full block has a pending
-    queue for freed lane slots to refill from."""
+    queue for freed lane slots to refill from — capped at the cell's
+    pending trials over the worker count, so no worker idles beside a
+    wide block."""
 
     @pytest.mark.parametrize("name", protocol_names())
     def test_full_blocks_exceed_the_stream_width(self, name):
@@ -249,7 +291,34 @@ class TestLaneBlocks:
             protocols=[name], jammers=["none"], ns=[8], budget=1000,
             channels=2, trials=2 * size + 1,
         ).trial_specs()
-        blocks = _lane_blocks(specs)
+        blocks = _lane_blocks(specs, workers=1)
         assert [len(block) for block in blocks] == [size, size, 1]
         assert size > width
         assert [spec for block in blocks for spec in block] == specs
+
+    @pytest.mark.parametrize(
+        "name, trials, sizes",
+        [
+            ("decay", 100, [50, 50]),  # 4 * 32 = 128 capped at 100 / 2
+            ("adv", 5, [3, 2]),  # 4 * 32 = 128 capped at ceil(5 / 2)
+            ("multicast", 100, [32, 32, 32, 4]),  # 4 * 8 = 32 < 50: uncapped
+        ],
+    )
+    def test_blocks_cap_at_the_cell_share_of_the_workers(self, name, trials, sizes):
+        specs = small_campaign(
+            protocols=[name], jammers=["none"], ns=[8], budget=2000, trials=trials,
+        ).trial_specs()
+        blocks = _lane_blocks(specs, workers=2)
+        assert [len(block) for block in blocks] == sizes
+        assert [spec for block in blocks for spec in block] == specs
+
+    def test_the_cap_is_per_cell(self):
+        """Each cell is capped by its own pending count, and no block
+        straddles two cells."""
+        specs = small_campaign(
+            protocols=["decay"], jammers=["none", "blanket"], ns=[8],
+            budget=2000, trials=7,
+        ).trial_specs()
+        blocks = _lane_blocks(specs, workers=2)
+        assert [len(block) for block in blocks] == [4, 3, 4, 3]
+        assert all(len({s.jammer for s in block}) == 1 for block in blocks)

@@ -6,14 +6,17 @@ whose message tells the operator what to do; the read side must reject
 silent bit-rot re-runs the trial instead of polluting the aggregates.
 """
 
+import dataclasses
 import errno
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.exp.shard import shard_append
 from repro.exp.store import (
     ResultStore,
+    StoppingRecord,
     StoreWriteError,
     TrialRecord,
     checksummed_line,
@@ -42,6 +45,9 @@ def _record(t=0, **overrides):
     )
     base.update(overrides)
     return TrialRecord(**base)
+
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent.parent / "experiments"
 
 
 class _FailingHandle:
@@ -107,6 +113,20 @@ class TestChecksums:
         b = json.loads(_record(wall_time=9.0).to_json_line())
         assert a["cs"] == b["cs"]
         assert row_intact(a) and row_intact(b)
+
+    def test_lines_equal_the_asdict_serialization_on_the_record(self):
+        """``to_json_line`` builds its payload from the field names, not
+        ``dataclasses.asdict``: every row of every committed store (trial
+        and stopping rows, legacy schemas included) serializes to the same
+        bytes both ways."""
+        kinds = set()
+        for path in sorted(EXPERIMENTS.glob("*.jsonl")):
+            for rec in iter_jsonl_records(str(path)):
+                kinds.add(type(rec))
+                assert rec.to_json_line() == checksummed_line(
+                    dataclasses.asdict(rec)
+                ), (path.name, rec.key)
+        assert kinds == {TrialRecord, StoppingRecord}
 
     def test_legacy_rows_without_cs_pass(self):
         assert row_intact({"key": "old-row", "slots": 5})

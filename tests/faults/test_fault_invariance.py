@@ -24,7 +24,7 @@ CAMPAIGN = CampaignSpec(
     jammers=["blanket"],
     ns=[16],
     budget=4000,
-    trials=12,  # two 8-trial lane blocks across 2 workers
+    trials=12,  # two 6-trial lane blocks across 2 workers
     base_seed=11,
 )
 KEY = "multicast/blanket/n16/T4000/s11/t{}".format
