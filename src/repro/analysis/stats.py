@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.result import BroadcastResult
 from repro.sim.rng import derive_seed
 
-__all__ = ["TrialBatch", "Summary", "RunningStat", "run_trials", "summarize"]
+__all__ = ["TrialBatch", "Summary", "run_trials", "summarize"]
 
 
 @dataclass
@@ -66,76 +66,6 @@ class Summary:
         if self.mean == 0.0:
             return 0.0 if self.ci95 == 0.0 else float("inf")
         return self.ci95 / abs(self.mean)
-
-
-class RunningStat:
-    """Welford online accumulator: mean/std/ci95/min/max in O(1) memory.
-
-    The streaming counterpart of :meth:`Summary.of` for pipelines that must
-    not hold the value vector — shard merges, million-row store reductions,
-    per-cell precision tracking during adaptive stopping.  Mean and variance
-    match the batch computation to float tolerance (the update order differs
-    from NumPy's pairwise summation in the last ulps); the median is *not*
-    tracked (exact streaming medians need the values), so :meth:`summary`
-    reports it as NaN.  Exact-median streaming aggregation lives in
-    :class:`repro.exp.store.StreamAggregator`, which keeps compact per-cell
-    value buffers instead.
-    """
-
-    __slots__ = ("count", "mean", "_m2", "lo", "hi", "_nan")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.lo = float("inf")
-        self.hi = float("-inf")
-        self._nan = 0
-
-    def push(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            # one NaN poisons the batch statistics; mirror that
-            self._nan += 1
-            self.count += 1
-            return
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.lo = min(self.lo, value)
-        self.hi = max(self.hi, value)
-
-    def extend(self, values: Sequence[float]) -> "RunningStat":
-        for v in values:
-            self.push(v)
-        return self
-
-    @property
-    def std(self) -> float:
-        if self._nan:
-            return float("nan")
-        if self.count < 2:
-            return 0.0 if self.count else float("nan")
-        return math.sqrt(self._m2 / (self.count - 1))
-
-    @property
-    def ci95(self) -> float:
-        if not self.count:
-            return float("nan")
-        return 1.96 * self.std / math.sqrt(self.count)
-
-    def summary(self) -> Summary:
-        """The :class:`Summary` of everything pushed so far (median = NaN)."""
-        nan = float("nan")
-        if not self.count:
-            return Summary(nan, nan, nan, nan, nan, nan)
-        if self._nan:
-            return Summary(nan, nan, nan, nan, nan, nan)
-        return Summary(
-            mean=self.mean, std=self.std, median=nan, lo=self.lo, hi=self.hi,
-            ci95=self.ci95,
-        )
 
 
 @dataclass
@@ -198,19 +128,18 @@ def run_trials(
     base_seed: int = 0,
     max_slots: int = 50_000_000,
     label: str = "",
-    workers: int = 1,
     lane_width: Optional[int] = None,
-    first_trial: int = 0,
 ) -> TrialBatch:
     """Run ``trials`` fresh executions and collect the results.
 
-    Trials run through the lane engine
+    Trials run as one lane stream
     (:func:`repro.core.batch.run_broadcast_stream`), which routes reactive
     adversaries (the adaptive arena's jammers, DESIGN.md section 7) to the
     windowed arena, so the adversary-model axis needs no call-site changes.
     Every trial's result equals the per-trial
     :func:`~repro.core.result.run_broadcast` run with the same seeds
-    (DESIGN.md sections 6 and 13).
+    (DESIGN.md sections 6 and 13).  Process fan-out and adaptive stopping
+    belong to campaigns (:func:`repro.exp.run_campaign`).
 
     Parameters
     ----------
@@ -224,23 +153,10 @@ def run_trials(
     trials, base_seed:
         Batch size and root seed; trial t runs with node seed
         ``derive_seed(base_seed, label, "net", t)``.
-    workers:
-        Process count: ``workers > 1`` splits the trials into contiguous
-        slices, one lane stream per slice, fanned out with
-        :func:`repro.exp.pool.fork_map`.  Every trial's seeds derive from
-        ``(base_seed, label, t)`` alone and results come back in trial
-        order, so any worker count produces the identical batch.
     lane_width:
         Trials per batched kernel pass (memory/throughput knob; no effect
         on results).  ``None`` (default) takes the protocol's
         :func:`repro.core.batch.stream_width`.
-    first_trial:
-        Index of the first trial to run: the batch covers trial indices
-        ``[first_trial, first_trial + trials)``.  Because every trial's
-        seeds derive from its *index*, running ``trials=10`` equals running
-        ``trials=5`` followed by ``trials=5, first_trial=5`` — the
-        seed-wave primitive adaptive stopping is built on
-        (:mod:`repro.exp.adaptive`).
     """
     from repro.core.batch import run_broadcast_stream
 
@@ -249,25 +165,15 @@ def run_trials(
             return None
         return adversary_factory(derive_seed(base_seed, label, "eve", t))
 
-    def stream(trial_ids: range) -> list:
-        return run_broadcast_stream(
-            protocol_factory(),
-            n,
-            [adversary_for(t) for t in trial_ids],
-            [derive_seed(base_seed, label, "net", t) for t in trial_ids],
-            max_slots=max_slots,
-            lane_width=lane_width,
-        )
-
-    stop = first_trial + trials
-    if workers <= 1 or trials < 2:
-        return TrialBatch(results=stream(range(first_trial, stop)))
-    from repro.exp.pool import fork_map  # local: repro.exp.store imports Summary
-
-    size = -(-trials // min(workers, trials))
-    slices = [range(lo, min(lo + size, stop)) for lo in range(first_trial, stop, size)]
-    parts = fork_map(stream, slices, workers=workers)
-    return TrialBatch(results=[r for part in parts for r in part])
+    results = run_broadcast_stream(
+        protocol_factory(),
+        n,
+        [adversary_for(t) for t in range(trials)],
+        [derive_seed(base_seed, label, "net", t) for t in range(trials)],
+        max_slots=max_slots,
+        lane_width=lane_width,
+    )
+    return TrialBatch(results=results)
 
 
 def summarize(batch: TrialBatch, metric: str) -> Summary:

@@ -74,53 +74,26 @@ def sweep(
     trials: int = 5,
     base_seed: int = 0,
     max_slots: int = 50_000_000,
-    workers: int = 1,
-    ci_target: Optional[float] = None,
-    ci_metric: str = "slots",
-    max_trials: Optional[int] = None,
 ) -> SweepResult:
     """Run a batch at every parameter value.
 
     ``protocol_factory(v)`` builds the protocol for value ``v``;
     ``n_of(v)`` gives the network size (usually constant);
-    ``adversary_factory(v, seed)`` builds Eve for value ``v``.
-    ``workers`` fans each batch's trials across processes via
-    :func:`repro.exp.pool.fork_map`; results are independent of the worker
-    count (trial seeds derive from ``(base_seed, label, t)``, never from
-    scheduling).
-
-    With ``ci_target`` set, each point runs adaptive seed *waves* of
-    ``trials`` executions until the relative 95% CI half-width of
-    ``ci_metric`` (``ci95 / |mean|``) drops to the target or the batch
-    reaches ``max_trials`` (default ``10 * trials``) — the in-memory twin of
-    campaign-level adaptive stopping (DESIGN.md section 10).  Trial indices
-    extend contiguously across waves, so a point that stopped after ``k``
-    trials is a bit-identical prefix of the fixed ``trials=k`` batch.
+    ``adversary_factory(v, seed)`` builds Eve for value ``v``.  Each batch
+    is one :func:`~repro.analysis.stats.run_trials` lane stream; process
+    fan-out and precision-targeted stopping belong to campaigns
+    (:func:`repro.exp.run_campaign`, DESIGN.md section 10).
     """
     result = SweepResult(parameter)
-    if max_trials is None:
-        max_trials = 10 * trials
     for v in values:
-        batch = TrialBatch()
-        while True:
-            wave = run_trials(
-                lambda v=v: protocol_factory(v),
-                n_of(v),
-                None if adversary_factory is None else (lambda seed, v=v: adversary_factory(v, seed)),
-                trials=min(trials, max(0, max_trials - len(batch)))
-                if ci_target is not None
-                else trials,
-                base_seed=base_seed,
-                max_slots=max_slots,
-                label=f"{parameter}={v}",
-                workers=workers,
-                first_trial=len(batch),
-            )
-            batch.results.extend(wave.results)
-            if ci_target is None or len(batch) >= max_trials:
-                break
-            # a single trial has ci95 = 0 by construction — never "precise"
-            if len(batch) >= 2 and batch.summary(ci_metric).rel_ci95 <= ci_target:
-                break
+        batch = run_trials(
+            lambda v=v: protocol_factory(v),
+            n_of(v),
+            None if adversary_factory is None else (lambda seed, v=v: adversary_factory(v, seed)),
+            trials=trials,
+            base_seed=base_seed,
+            max_slots=max_slots,
+            label=f"{parameter}={v}",
+        )
         result.points.append(SweepPoint(float(v), batch))
     return result

@@ -28,10 +28,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.result import BroadcastResult
-from repro.core.runner import count_feedback, spread_block
-from repro.obs.recorder import active as _obs_active
-from repro.sim.channel import ACT_IDLE, ACT_LISTEN, ACT_SEND_MSG
+from repro.core.runner import spread_block
+from repro.sim.channel import ACT_LISTEN, ACT_SEND_MSG
 from repro.sim.engine import RadioNetwork, SlotLimitExceeded
+from repro.sim.jam import JamBlock
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["DecayBroadcast"]
@@ -153,74 +153,26 @@ class DecayBroadcast:
             extras={"round_slots": L, "epochs": self.epochs},
         )
 
-    def run_batch(self, bnet) -> list:
-        """Lane-batched :meth:`run` (bit-identical per lane for the same
-        seed).  Decay is the easiest protocol to batch: every lane runs
-        exactly ``epochs`` rounds of ``lg n`` slots, so lanes only ever leave
-        the batch on a (rare) per-lane slot-limit overrun."""
-        from repro.core.runner import spread_block_batch
+    def run_stream(self, stream) -> list:
+        """Execute one broadcast per trial of a
+        :class:`repro.core.batch.LaneStream` on the always-on kernel —
+        bit-identical per trial to :meth:`run` under the same seed (DESIGN.md
+        sections 6 and 13).  Like :meth:`run` it draws no channels, and it
+        folds each row's halved threshold into the coins."""
+        from repro.core.batch import EpidemicStream
 
-        if bnet.n != self.n:
-            raise ValueError(f"batch network has n={bnet.n}, protocol built for n={self.n}")
-        n, L, B = self.n, self.round_slots, bnet.B
-        informed = np.zeros((B, n), dtype=bool)
-        informed[:, 0] = True
-        active = np.ones((B, n), dtype=bool)
-        informed_slot = np.full((B, n), -1, dtype=np.int64)
-        informed_slot[:, 0] = 0
-        completed = np.ones(B, dtype=bool)
-        epochs_run = np.zeros(B, dtype=np.int64)
-        live = np.ones(B, dtype=bool)
-        scale = (2.0 ** np.arange(L, dtype=np.float64))[None, :, None]  # (1, L, 1)
+        n, L = self.n, self.round_slots
+        scale = (2.0 ** np.arange(L, dtype=np.float64))[:, None]  # (L, 1)
+        lanes = EpidemicStream(self, stream, {"round_slots": L, "epochs": self.epochs})
+        bnet = stream.bnet
 
-        for _ in range(self.epochs):
-            lane_ids = np.nonzero(live)[0]
-            if lane_ids.size == 0:
-                break
-            channels = np.zeros((lane_ids.size, L, n), dtype=np.int32)  # single channel
-            coins = bnet.draw_coins(lane_ids, L) * scale
-            jam = bnet.draw_jamming(lane_ids, L, 1)
-            sub_slot = informed_slot[lane_ids]
-            out = spread_block_batch(
-                channels,
-                coins,
-                jam,
-                informed[lane_ids],
-                active[lane_ids],
-                _decay_actions,
-                slot0=bnet.clocks[lane_ids],
-                informed_slot=sub_slot,
-            )
-            overrun = bnet.commit_block(lane_ids, out.actions)
-            informed_slot[lane_ids] = sub_slot
-            # the scalar path raises before adopting statuses, so overrun
-            # lanes keep their pre-block informed set
-            completed[lane_ids[overrun]] = False
-            live[lane_ids[overrun]] = False
-            lane_ids = lane_ids[~overrun]
-            informed[lane_ids] = out.informed[~overrun]
-            epochs_run[lane_ids] += 1
+        def draw_block(lane_ids):
+            rows = np.full(lane_ids.size, L, dtype=np.int64)
+            coins = bnet.draw_coins_ragged(lane_ids, rows).reshape(-1, L, n)
+            sends = (coins * scale < 1.0).reshape(-1, n)
+            jam = JamBlock.stack(bnet.draw_jamming_ragged(lane_ids, rows, 1))
+            return rows, np.zeros(sends.shape, dtype=np.int32), sends, jam
 
-        tel = _obs_active()
-        if tel is not None:
-            # book the lanes like run_iterations_stream does, so the
-            # occupancy invariant (every trial in exactly one lane counter)
-            # holds for bespoke run_batch protocols too
-            tel.count("batch.batches")
-            tel.count("batch.lanes", B)
-        return [
-            BroadcastResult(
-                protocol=self.name,
-                n=n,
-                slots=int(bnet.clocks[lane]),
-                completed=bool(completed[lane]),
-                informed_slot=informed_slot[lane].copy(),
-                halt_slot=np.full(n, int(bnet.clocks[lane]), dtype=np.int64),
-                node_energy=bnet.energy.lane_node_cost(lane),
-                adversary_spend=bnet.energy.lane_adversary_spend(lane),
-                halted_uninformed=int((~informed[lane]).sum()),
-                periods=int(epochs_run[lane]),
-                extras={"round_slots": L, "epochs": self.epochs},
-            )
-            for lane in range(B)
-        ]
+        return lanes.run(
+            draw_block, lambda slot: True if lanes.blocks[slot] >= self.epochs else None
+        )

@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.core.result import BroadcastResult
 from repro.core.runner import spread_block
-from repro.obs.recorder import active as _obs_active
 from repro.sim.channel import ACT_LISTEN, ACT_SEND_MSG
 from repro.sim.engine import RadioNetwork, SlotLimitExceeded
+from repro.sim.jam import JamBlock
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["NaiveEpidemic"]
@@ -145,107 +145,42 @@ class NaiveEpidemic:
             extras={"num_channels": C, "oracle_termination": True},
         )
 
-    def run_batch(self, bnet) -> list:
-        """Lane-batched :meth:`run` (bit-identical per lane for the same
-        seed).
+    def run_stream(self, stream) -> list:
+        """Execute one broadcast per trial of a
+        :class:`repro.core.batch.LaneStream` on the always-on kernel —
+        bit-identical per trial to :meth:`run` under the same seed (DESIGN.md
+        sections 6 and 13).
 
-        Naive's block length is lane-local: it shrinks when a lane nears its
-        slot budget or counts down a linger allowance.  Each step therefore
-        groups live lanes by their next K and batches each group — usually
-        one group of everyone at ``block_slots``; the grouping cannot perturb
-        results because a lane's draws come from its own generator in its own
-        block order regardless of which group ran first.
-        """
-        from repro.core.runner import spread_block_batch
+        Once everyone is informed, :meth:`run`'s linger countdown runs out
+        exactly at slot ``dissemination + linger`` (at once if the clock is
+        already past it), so that slot stands in for the countdown here."""
+        from repro.core.batch import EpidemicStream
 
-        if bnet.n != self.n:
-            raise ValueError(f"batch network has n={bnet.n}, protocol built for n={self.n}")
-        n, C, B = self.n, self.num_channels, bnet.B
-        informed = np.zeros((B, n), dtype=bool)
-        informed[:, 0] = True
-        active = np.ones((B, n), dtype=bool)
-        informed_slot = np.full((B, n), -1, dtype=np.int64)
-        informed_slot[:, 0] = 0
-        completed = np.ones(B, dtype=bool)
-        blocks = np.zeros(B, dtype=np.int64)
-        linger_left = np.full(B, -1, dtype=np.int64)  # -1 = oracle not fired yet
-        live = np.ones(B, dtype=bool)
+        C = self.num_channels
+        lanes = EpidemicStream(
+            self, stream, {"num_channels": C, "oracle_termination": True}
+        )
+        bnet = stream.bnet
 
-        while live.any():
-            lane_ids = np.nonzero(live)[0]
+        def draw_block(lane_ids):
             clocks = bnet.clocks[lane_ids]
-            exhausted = clocks >= self.max_slots_budget
-            if exhausted.any():
-                completed[lane_ids[exhausted]] = False
-                live[lane_ids[exhausted]] = False
-                lane_ids = lane_ids[~exhausted]
-                clocks = clocks[~exhausted]
-                if lane_ids.size == 0:
-                    break
-            lane_K = np.minimum(self.block_slots, self.max_slots_budget - clocks)
-            lingering = linger_left[lane_ids] >= 0
-            lane_K = np.where(
-                lingering, np.minimum(lane_K, linger_left[lane_ids]), lane_K
+            linger_left = np.where(
+                lanes.informed[lane_ids].all(axis=1),
+                lanes.informed_slot[lane_ids].max(axis=1) + self.linger - clocks,
+                self.block_slots,
             )
-            lane_K = np.maximum(1, lane_K)
-            for K in np.unique(lane_K):
-                group = lane_ids[lane_K == K]
-                K = int(K)
-                channels = bnet.draw_channels(group, K, C)
-                coins = bnet.draw_coins(group, K)
-                jam = bnet.draw_jamming(group, K, C)
-                sub_slot = informed_slot[group]
-                out = spread_block_batch(
-                    channels,
-                    coins,
-                    jam,
-                    informed[group],
-                    active[group],
-                    _epidemic_actions,
-                    slot0=bnet.clocks[group],
-                    informed_slot=sub_slot,
-                )
-                overrun = bnet.commit_block(group, out.actions)
-                informed_slot[group] = sub_slot
-                # the scalar path raises before adopting statuses, so
-                # overrun lanes keep their pre-block informed set
-                completed[group[overrun]] = False
-                live[group[overrun]] = False
-                group = group[~overrun]
-                informed[group] = out.informed[~overrun]
-                blocks[group] += 1
-                # Per-lane oracle/linger bookkeeping (the scalar loop's tail).
-                for lane in group[informed[group].all(axis=1)]:
-                    if linger_left[lane] < 0:
-                        overshoot = int(bnet.clocks[lane]) - int(informed_slot[lane].max())
-                        linger_left[lane] = max(0, self.linger - overshoot)
-                    else:
-                        linger_left[lane] -= K
-                    if linger_left[lane] <= 0:
-                        live[lane] = False
+            rows = np.minimum(self.block_slots, self.max_slots_budget - clocks)
+            rows = np.maximum(1, np.minimum(rows, linger_left))
+            channels = bnet.draw_channels_ragged(lane_ids, rows, C)
+            bnet.draw_coins_ragged(lane_ids, rows)  # drawn like run's, never read
+            jam = JamBlock.stack(bnet.draw_jamming_ragged(lane_ids, rows, C))
+            return rows, channels, np.ones(channels.shape, dtype=bool), jam
 
-        tel = _obs_active()
-        if tel is not None:
-            # book the lanes like run_iterations_stream does, so the
-            # occupancy invariant (every trial in exactly one lane counter)
-            # holds for bespoke run_batch protocols too
-            tel.count("batch.batches")
-            tel.count("batch.lanes", B)
-        return [
-            BroadcastResult(
-                protocol=self.name,
-                n=n,
-                slots=int(bnet.clocks[lane]),
-                completed=bool(completed[lane]),
-                informed_slot=informed_slot[lane].copy(),
-                halt_slot=np.full(n, int(bnet.clocks[lane]), dtype=np.int64),
-                node_energy=bnet.energy.lane_node_cost(lane),
-                adversary_spend=bnet.energy.lane_adversary_spend(lane),
-                halted_uninformed=(
-                    int((~informed[lane]).sum()) if not completed[lane] else 0
-                ),
-                periods=int(blocks[lane]),
-                extras={"num_channels": C, "oracle_termination": True},
-            )
-            for lane in range(B)
-        ]
+        def stop(slot):
+            clock = bnet.clocks[slot]
+            informed, informed_slot = lanes.informed[slot], lanes.informed_slot[slot]
+            if informed.all() and clock >= informed_slot.max() + self.linger:
+                return True
+            return False if clock >= self.max_slots_budget else None
+
+        return lanes.run(draw_block, stop)

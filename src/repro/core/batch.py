@@ -16,21 +16,25 @@ and 13):
   fixed-point over per-node informing rows, and reduces the counters in one
   sender-keyed pass — no ``resolve_block``, no ``(B, K, n)`` action/feedback
   materialization, one flat key space ``global_row*C + channel``.
-* :class:`LaneStream` and :func:`run_iterations_stream` — ``W`` lane slots
-  over a pending trial queue, driving the shared iteration loop of
-  ``MultiCastCore`` (Fig. 1), ``MultiCast`` (Fig. 2) and ``MultiCast(C)``
-  (Fig. 5); a slot whose trial retires is refilled with the next one.
+* :func:`_epidemic_ragged` — the always-on kernel of the Decay and Naive
+  baselines (every uninformed node listens in every row), settling each
+  lane's earliest hearing row per pass.
+* :class:`LaneStream` — ``W`` lane slots over a pending trial queue; a slot
+  whose trial retires is refilled with the next one.  Two drivers host the
+  kernels above on it: :func:`run_iterations_stream`, the shared iteration
+  loop of ``MultiCastCore`` (Fig. 1), ``MultiCast`` (Fig. 2) and
+  ``MultiCast(C)`` (Fig. 5), and :class:`EpidemicStream` for Decay and
+  Naive.
 * :func:`run_broadcast_stream` — the batch analogue of
   :func:`repro.core.result.run_broadcast` and the one dispatcher: it splits
   its trial list once by adversary family.  Reactive trials run on the
-  windowed arena; the rest run as one :class:`LaneStream` for a protocol
-  with ``run_stream``, else through the protocol's ``run_batch``.  The
-  scalar block engine is left only for ``trace=`` and for protocols with
-  neither driver, and those fallbacks are loud: one stderr line (or one
-  campaign-scoped :class:`FallbackNotes` entry) and
-  ``extras["backend"] = "scalar-fallback"`` on each lane that ran it.
-  :func:`run_broadcast_batch` is the lockstep schedule: a stream as wide as
-  its trial count, so nothing refills.
+  windowed arena; the rest run as one :class:`LaneStream` through the
+  protocol's ``run_stream``.  The scalar block engine is left only for
+  ``trace=`` and for protocols without ``run_stream``, and those fallbacks
+  are loud: one stderr line (or one campaign-scoped :class:`FallbackNotes`
+  entry) and ``extras["backend"] = "scalar-fallback"`` on each lane that
+  ran it.  :func:`run_broadcast_batch` is the lockstep schedule: a stream
+  as wide as its trial count, so nothing refills.
 
 Determinism contract (enforced by ``tests/core/test_batch_equivalence.py``):
 lane ``l`` is **bit-identical** to the scalar execution with the same
@@ -59,6 +63,7 @@ __all__ = [
     "run_broadcast_stream",
     "run_iterations_stream",
     "stream_width",
+    "EpidemicStream",
     "LaneStream",
     "FallbackNotes",
     "collect_fallback_notes",
@@ -331,6 +336,79 @@ def _shared_coin_ragged(
     return listen_counts, send_counts, noise_counts, informing_row < NEVER
 
 
+def _epidemic_ragged(
+    channels: np.ndarray,
+    sends: np.ndarray,
+    jam: JamBlock,
+    offsets: np.ndarray,
+    informed: np.ndarray,
+    *,
+    slot0: np.ndarray,
+    informed_slot: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve one *ragged* block of every lane under the always-on rule of
+    Decay and Naive, returning ``(listen_counts, send_counts, informed)``.
+
+    The layout is :func:`_shared_coin_ragged`'s: ``channels``/``sends`` are
+    ``(T, n)`` with lane ``l`` owning rows ``offsets[l]:offsets[l+1]``,
+    ``jam`` is the lanes' stacked ``T``-row :class:`JamBlock`,
+    ``informed``/``informed_slot`` are ``(L, n)`` (the latter updated in
+    place with event slots) and ``slot0`` holds each lane's global slot of
+    row 0.  Every node is active: an uninformed node listens in every row,
+    and an informed node sends where ``sends`` is set.
+
+    Each pass settles every open lane's earliest hearing row — an
+    uninformed listener whose unjammed cell holds exactly one sender.  That
+    is exact: a hearing adds senders only at later rows, so the rows up to
+    it are final, and the nodes that heard there send from the next row on.
+    A lane closes once a pass finds it no hearing or it has no uninformed
+    node left.  A node's listen count is then closed-form — the rows up to
+    its informing row — and its send count is its ``sends`` past that row.
+    The jam mask is materialized densely, ``(T, C)``, which is no larger
+    than the draws because ``C <= n / 2`` (DESIGN.md section 6.3.1).
+    """
+    T, n = sends.shape
+    L = offsets.size - 1
+    C = jam.C
+    lane_rows = np.diff(offsets)
+    row_lane = np.repeat(np.arange(L), lane_rows)
+    local = np.arange(T) - offsets[row_lane]
+    NEVER = np.int64(lane_rows.max())  # past every lane's last local row
+    informing_row = np.where(informed, np.int64(-1), NEVER)
+    jammed = jam.to_dense()
+    frontier = np.full(L, -1, dtype=np.int64)  # rows <= frontier are settled
+    open_lanes = ~informed.all(axis=1)
+    while open_lanes.any():
+        rows = np.flatnonzero(open_lanes[row_lane] & (local > frontier[row_lane]))
+        lanes = row_lane[rows]
+        knows = informing_row[lanes] != NEVER
+        row_channels = channels[rows]
+        cell = np.arange(rows.size)[:, None] * C + row_channels
+        count = np.bincount(cell[knows & sends[rows]], minlength=rows.size * C)
+        hears = ~knows & ~jammed[rows[:, None], row_channels] & (count[cell] == 1)
+        heard = np.flatnonzero(hears.any(axis=1))
+        open_lanes[:] = False
+        if not heard.size:
+            break
+        event_lanes, first = np.unique(lanes[heard], return_index=True)
+        event = heard[first]  # each lane's earliest hearing row
+        event_row = local[rows[event]]
+        informing_row[event_lanes] = np.where(
+            hears[event], event_row[:, None], informing_row[event_lanes]
+        )
+        frontier[event_lanes] = event_row
+        open_lanes[event_lanes] = (informing_row[event_lanes] == NEVER).any(axis=1)
+
+    new_lane, new_node = np.nonzero((informing_row >= 0) & (informing_row < NEVER))
+    informed_slot[new_lane, new_node] = (
+        slot0[new_lane] + informing_row[new_lane, new_node]
+    )
+    listen_counts = np.minimum(informing_row + 1, lane_rows[:, None])
+    sent = sends & (local[:, None] > informing_row[row_lane])
+    send_counts = np.add.reduceat(sent, offsets[:-1], axis=0, dtype=np.int64)
+    return listen_counts, send_counts, informing_row < NEVER
+
+
 class LaneStream:
     """``W`` reusable lane slots streaming over a pending trial queue.
 
@@ -523,8 +601,7 @@ def run_iterations_stream(
         jam = draw_jamming(lane_ids, Ks)
         offsets = np.concatenate(([0], np.cumsum(Ks)))
         sub_slot = informed_slot[lane_ids]
-        if tel is not None:
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
         listen_counts, send_counts, block_noise, new_informed = _shared_coin_ragged(
             channels,
             coins,
@@ -538,14 +615,7 @@ def run_iterations_stream(
             informed_slot=sub_slot,
         )
         if tel is not None:
-            tel.add_time("batch.kernel_s", time.perf_counter() - t0)
-            tel.count("batch.kernel_passes")
-            tel.count("batch.lane_rows", int(Ks.sum()))
-            tel.observe("batch.occupancy", int(lane_ids.size))
-            tel.count("batch.lane_passes", int(lane_ids.size))
-            tel.count("batch.idle_lane_passes", W - int(lane_ids.size))
-            if lane_ids.size == 1 and W > 1:
-                tel.count("batch.solo_slots", int(Ks[0]) * slots_per_row)
+            _book_pass(tel, time.perf_counter() - t0, Ks, W, slots_per_row)
         overrun = bnet.commit_counts_ragged(
             lane_ids, listen_counts, send_counts, Ks, slots_per_row=slots_per_row
         )
@@ -588,6 +658,128 @@ def run_iterations_stream(
         tel.count("batch.batches")
         tel.count("batch.refills", stream.refills)
     return list(stream.results)
+
+
+def _book_pass(tel, seconds: float, rows: np.ndarray, width: int, slots_per_row: int = 1) -> None:
+    """Book one kernel pass of a ``width``-slot stream whose occupied lanes
+    resolved ``rows`` rows each — the per-pass ``batch.*`` counters of every
+    shared-kernel driver."""
+    lanes = int(rows.size)
+    tel.add_time("batch.kernel_s", seconds)
+    tel.count("batch.kernel_passes")
+    tel.count("batch.lane_rows", int(rows.sum()))
+    tel.observe("batch.occupancy", lanes)
+    tel.count("batch.lane_passes", lanes)
+    tel.count("batch.idle_lane_passes", width - lanes)
+    if lanes == 1 and width > 1:
+        tel.count("batch.solo_slots", int(rows[0]) * slots_per_row)
+
+
+class EpidemicStream:
+    """Every trial of a :class:`LaneStream` under the always-on rule of
+    Decay and Naive: the lanes' books and the pass loop around
+    :func:`_epidemic_ragged`.
+
+    The protocol's ``run_stream`` builds one and calls :meth:`run` with two
+    hooks that read the books — ``informed``/``informed_slot`` ``(W, n)``,
+    ``blocks`` (committed blocks) ``(W,)`` and the stream's ``bnet``:
+
+    * ``draw_block(lane_ids) -> (rows, channels, sends, jam)`` draws the
+      occupied lanes' next block from each lane's generator in the order the
+      protocol's scalar ``run`` draws it;
+    * ``stop(slot) -> Optional[bool]`` is asked when a trial is admitted and
+      after each of its committed blocks: ``None`` runs another block, a
+      bool retires the trial with that ``completed`` flag.
+
+    A lane whose commit overran its cap retires uncompleted with its
+    pre-block informed set but the block's ``informed_slot``, where the
+    scalar ``SlotLimitExceeded`` leaves them.  A retired slot is refilled
+    from the stream's queue, so results are bit-identical to the scalar
+    ``run`` per trial at any width.
+    """
+
+    def __init__(self, proto, stream: LaneStream, extras: dict):
+        n, W = proto.n, stream.width
+        if stream.bnet.n != n:
+            raise ValueError(
+                f"batch network has n={stream.bnet.n}, protocol built for n={n}"
+            )
+        self.proto, self.stream, self.bnet, self.extras = proto, stream, stream.bnet, extras
+        self.informed = np.zeros((W, n), dtype=bool)
+        self.informed_slot = np.full((W, n), -1, dtype=np.int64)
+        self.blocks = np.zeros(W, dtype=np.int64)
+        self.occupied = np.ones(W, dtype=bool)
+
+    def _admit(self, slot: int) -> None:
+        self.informed[slot] = False
+        self.informed[slot, 0] = True
+        self.informed_slot[slot] = -1
+        self.informed_slot[slot, 0] = 0
+        self.blocks[slot] = 0
+
+    def _retire(self, slot: int, completed: Optional[bool], stop, tel) -> None:
+        """Unless ``completed`` is ``None``, finish ``slot``'s trial with that
+        flag and refill the slot — again for each admitted trial that
+        ``stop`` ends before its first block."""
+        n, bnet = self.proto.n, self.bnet
+        while completed is not None:
+            clock = int(bnet.clocks[slot])
+            self.stream.finish(slot, BroadcastResult(
+                protocol=self.proto.name,
+                n=n,
+                slots=clock,
+                completed=completed,
+                informed_slot=self.informed_slot[slot].copy(),
+                halt_slot=np.full(n, clock, dtype=np.int64),
+                node_energy=bnet.energy.lane_node_cost(slot),
+                adversary_spend=bnet.energy.lane_adversary_spend(slot),
+                halted_uninformed=int((~self.informed[slot]).sum()),
+                periods=int(self.blocks[slot]),
+                extras=dict(self.extras),
+            ))
+            if tel is not None:
+                tel.count("batch.lanes")
+            if not self.stream.refill(slot):
+                self.occupied[slot] = False
+                return
+            self._admit(slot)
+            completed = stop(slot)
+
+    def run(self, draw_block, stop) -> List[BroadcastResult]:
+        bnet, W = self.bnet, self.stream.width
+        tel = _obs_active()
+        for slot in range(W):
+            self._admit(slot)
+            self._retire(slot, stop(slot), stop, tel)
+        while self.occupied.any():
+            lane_ids = np.flatnonzero(self.occupied)
+            rows, channels, sends, jam = draw_block(lane_ids)
+            sub_slot = self.informed_slot[lane_ids]
+            t0 = time.perf_counter()
+            listen_counts, send_counts, new_informed = _epidemic_ragged(
+                channels,
+                sends,
+                jam,
+                np.concatenate(([0], np.cumsum(rows))),
+                self.informed[lane_ids],
+                slot0=bnet.clocks[lane_ids],
+                informed_slot=sub_slot,
+            )
+            if tel is not None:
+                _book_pass(tel, time.perf_counter() - t0, rows, W)
+            overrun = bnet.commit_counts_ragged(lane_ids, listen_counts, send_counts, rows)
+            self.informed_slot[lane_ids] = sub_slot
+            for idx, slot in enumerate(lane_ids):
+                if overrun[idx]:
+                    self._retire(slot, False, stop, tel)
+                    continue
+                self.informed[slot] = new_informed[idx]
+                self.blocks[slot] += 1
+                self._retire(slot, stop(slot), stop, tel)
+        if tel is not None:
+            tel.count("batch.batches")
+            tel.count("batch.refills", self.stream.refills)
+        return list(self.stream.results)
 
 
 def _fallback_line(name: str, reason: str, lanes: int, passes=None) -> str:
@@ -731,10 +923,8 @@ def _run_reactive(protocol, n, adversaries, seeds, caps, width):
 
 def _run_oblivious(protocol, n, adversaries, seeds, caps, width):
     """Oblivious (or absent) adversaries: one :class:`LaneStream` for a
-    protocol with ``run_stream``; else groups of ``width`` trials through
-    the protocol's own ``run_batch`` (Decay, Naive) or, for a protocol with
-    neither, per trial through the scalar block engine — stamped and
-    noted."""
+    protocol with ``run_stream``; else per trial through the scalar block
+    engine — stamped and noted."""
     if hasattr(protocol, "run_stream"):
         stream = LaneStream(n, seeds, adversaries, caps.tolist(), width)
         results = protocol.run_stream(stream)
@@ -746,21 +936,11 @@ def _run_oblivious(protocol, n, adversaries, seeds, caps, width):
     for start in range(0, len(seeds), width):
         stop = start + width
         group = adversaries[start:stop]
-        if hasattr(protocol, "run_batch"):
-            for adversary in group:
-                if adversary is not None:
-                    adversary.reset()
-            results.extend(
-                protocol.run_batch(
-                    BatchNetwork(n, seeds[start:stop], group, max_slots=caps[start:stop])
-                )
-            )
-            continue
         for adversary, seed, cap in zip(group, seeds[start:stop], caps[start:stop]):
             result = run_broadcast(protocol, n, adversary, seed=seed, max_slots=int(cap))
             result.extras["backend"] = "scalar-fallback"
             results.append(result)
-        _note_fallback(protocol, "has neither run_stream nor run_batch", len(group))
+        _note_fallback(protocol, "has no run_stream", len(group))
     return results
 
 
@@ -790,8 +970,8 @@ def run_broadcast_stream(
     run as one :class:`LaneStream` — exactly ``lane_width`` slots stay
     busy, and a slot whose trial retires (halts, truncates at its own cap,
     or runs out of epochs) is refilled from the pending queue — or, for a
-    protocol without ``run_stream``, through :func:`_run_oblivious`'s
-    ``run_batch`` and scalar rungs.
+    protocol without ``run_stream``, per trial on the scalar engine
+    (:func:`_run_oblivious`).
 
     ``trace=`` (a :class:`~repro.core.trace.TraceRecorder`) is honored only
     by the scalar engine, so it takes exactly one trial: a trace records one

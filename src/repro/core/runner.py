@@ -17,10 +17,10 @@ iterations.
 ``MultiCastAdv`` step two freezes statuses mid-step (paper section 6.2), which
 is the no-event special case: one resolve per block.
 
-The lane-batched counterpart :func:`spread_block_batch` runs ``B``
-independent trials through shared kernel passes (DESIGN.md section 6); the
-shared-coin protocols go further and skip matrix materialization entirely
-via :mod:`repro.core.batch`.
+This is the scalar engine every protocol's ``run`` uses, and the oracle the
+lane kernels of :mod:`repro.core.batch` and :mod:`repro.core.adv_batch` are
+tested against; those kernels never materialize action or feedback matrices
+(DESIGN.md section 6).
 """
 
 from __future__ import annotations
@@ -47,12 +47,10 @@ from repro.sim.trace import TraceRecorder
 __all__ = [
     "ActionBuilder",
     "BlockOutcome",
-    "BatchBlockOutcome",
     "shared_coin_actions",
     "adv_step_one_actions",
     "adv_step_two_actions",
     "spread_block",
-    "spread_block_batch",
     "count_feedback",
 ]
 
@@ -215,131 +213,6 @@ def spread_block(
             trace.record_growth(event_slot, int(informed.sum()))
         t0 += r + 1
     return BlockOutcome(actions_full, feedback_full, informed)
-
-
-@dataclass
-class BatchBlockOutcome:
-    """Result of resolving one block across ``B`` lanes."""
-
-    actions: np.ndarray  #: (B, K, n) int8 — what each lane's nodes did
-    feedback: np.ndarray  #: (B, K, n) int8 — FB_* per lane per node per slot
-    informed: np.ndarray  #: (B, n) bool — per-lane informed sets after the block
-
-
-def spread_block_batch(
-    channels: np.ndarray,
-    coins: np.ndarray,
-    jam: JamBlock,
-    informed: np.ndarray,
-    active: np.ndarray,
-    build_actions: ActionBuilder,
-    *,
-    learn: bool = True,
-    slot0: Optional[np.ndarray] = None,
-    slot_scale: int = 1,
-    informed_slot: Optional[np.ndarray] = None,
-) -> BatchBlockOutcome:
-    """Lane-batched :func:`spread_block`: ``B`` independent trials, one pass.
-
-    Parameters are the lane-stacked analogues of :func:`spread_block`:
-    ``channels``/``coins`` are ``(B, K, n)``, ``informed``/``active`` are
-    ``(B, n)``, ``jam`` is a lane-stacked :class:`repro.sim.jam.JamBlock` of
-    ``B*K`` rows (or a dense ``(B, K, C)`` mask), ``slot0`` is the ``(B,)``
-    per-lane global slot of row 0, and ``informed_slot`` — updated in place —
-    is ``(B, n)``.
-
-    The block is materialized in *waves* of short row windows, all lanes
-    advancing together: one batched build+resolve per wave, a per-lane scan
-    for "uninformed node heard m" events, and — after a lane's statuses can
-    no longer change — one final pass over its remaining rows.  Windows grow
-    geometrically through event-free stretches and reset after each event,
-    so the work is O(rows kept) + O(events · window) instead of the scalar
-    loop's O(events · tail).  Slot resolution is row-independent, so the
-    kept rows are bit-identical to the scalar event loop's (same draws ->
-    same actions, feedback, statuses and event slots per lane; see DESIGN.md
-    section 6).  Trace recording is a scalar-path feature: callers that need
-    growth traces run lanes individually.
-    """
-    B, K, n = coins.shape
-    informed = informed.copy()
-    jam = JamBlock.coerce(jam)
-    if jam.K != B * K:
-        raise ValueError(f"batched jam block has {jam.K} rows, expected B*K = {B * K}")
-    if slot0 is None:
-        slot0 = np.zeros(B, dtype=np.int64)
-    if not learn or not (active & ~informed).any():
-        actions = build_actions(coins, informed, active)
-        feedback = resolve_block(channels, actions, jam)
-        return BatchBlockOutcome(actions, feedback, informed)
-
-    actions = np.empty((B, K, n), dtype=np.int8)
-    feedback = np.empty((B, K, n), dtype=np.int8)
-    cursor = np.zeros(B, dtype=np.int64)  # per lane: rows < cursor are final
-    segment = np.full(B, EVENT_SEGMENT, dtype=np.int64)
-    pending = np.ones(B, dtype=bool)
-    watching = (active & ~informed).any(axis=1)  # lane still scans for events
-
-    while pending.any():
-        # Lanes whose statuses are settled: the rest of their rows are final.
-        for lane in np.nonzero(pending & ~watching)[0]:
-            start = int(cursor[lane])
-            lane_actions = build_actions(coins[lane, start:], informed[lane], active[lane])
-            actions[lane, start:] = lane_actions
-            feedback[lane, start:] = resolve_block(
-                channels[lane, start:], lane_actions, jam.slice(lane * K + start, (lane + 1) * K)
-            )
-            pending[lane] = False
-        wave = np.nonzero(pending)[0]
-        if wave.size == 0:
-            break
-        widths = np.minimum(segment[wave], K - cursor[wave])
-        for width in np.unique(widths):
-            group = wave[widths == width]
-            W = int(width)
-            starts = cursor[group]
-            win_channels = np.stack(
-                [channels[lane, s : s + W] for lane, s in zip(group, starts)]
-            )
-            win_coins = np.stack(
-                [coins[lane, s : s + W] for lane, s in zip(group, starts)]
-            )
-            win_jam = JamBlock.stack(
-                [jam.slice(lane * K + s, lane * K + s + W) for lane, s in zip(group, starts)]
-            )
-            win_actions = build_actions(win_coins, informed[group], active[group])
-            win_feedback = resolve_block(win_channels, win_actions, win_jam)
-            hears = (win_feedback == FB_MSG) & (active[group] & ~informed[group])[:, None, :]
-            event_rows = hears.any(axis=2)  # (G, W)
-            has_event = event_rows.any(axis=1)
-            first_event = event_rows.argmax(axis=1)  # first True (0 if none)
-            for g, lane in enumerate(group):
-                start = int(starts[g])
-                if not has_event[g]:
-                    actions[lane, start : start + W] = win_actions[g]
-                    feedback[lane, start : start + W] = win_feedback[g]
-                    cursor[lane] = start + W
-                    segment[lane] *= 4  # event-free: stride farther next wave
-                else:
-                    r = int(first_event[g])
-                    actions[lane, start : start + r + 1] = win_actions[g, : r + 1]
-                    feedback[lane, start : start + r + 1] = win_feedback[g, : r + 1]
-                    newly = hears[g, r]
-                    informed[lane] |= newly
-                    if informed_slot is not None:
-                        informed_slot[lane][newly] = slot0[lane] + (start + r) * slot_scale
-                    cursor[lane] = start + r + 1
-                    segment[lane] = EVENT_SEGMENT
-                    watching[lane] = (active[lane] & ~informed[lane]).any()
-                if cursor[lane] >= K:
-                    pending[lane] = False
-    return BatchBlockOutcome(actions, feedback, informed)
-
-
-#: First row-window length of the wave loop in :func:`spread_block_batch`;
-#: windows grow 4x through event-free waves and reset to this after each
-#: event, bounding both the per-event waste (<= one window) and the number
-#: of waves an event-free block needs (logarithmic).
-EVENT_SEGMENT = 64
 
 
 def count_feedback(feedback: np.ndarray) -> dict:

@@ -21,8 +21,9 @@ a hand-rolled loop into a declarative, resumable, parallel pipeline:
    CI is tight enough (or ``max_trials``), recording the decision in the
    store.
 
-The ``python -m repro sweep`` CLI wraps exactly this pipeline, and
-``repro.analysis`` delegates its trial batches to the same pool.  See
+The ``python -m repro sweep`` CLI wraps exactly this pipeline;
+``repro.analysis.run_trials`` runs its in-memory trial batches on the same
+lane streams, in-process.  See
 DESIGN.md section 3 for the architecture and EXPERIMENTS.md for the measured
 record produced with it.
 
@@ -43,7 +44,6 @@ from repro.exp.adaptive import AdaptiveController, StoppingRule
 from repro.exp.pool import (
     CampaignInterrupted,
     default_workers,
-    fork_map,
     run_campaign,
     run_trial,
     run_trial_batch,
@@ -105,7 +105,6 @@ __all__ = [
     "canonical_jammer",
     "canonical_protocol",
     "default_workers",
-    "fork_map",
     "is_reactive_jammer",
     "jammer_names",
     "merge_shards",

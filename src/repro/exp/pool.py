@@ -21,10 +21,6 @@ worker ran it or when:
 * Adaptive campaigns (``ci_target`` set) run seed *waves* through the same
   machinery under :class:`repro.exp.adaptive.AdaptiveController`, recording
   one stopping decision per cell in the store.
-* :func:`fork_map` parallelizes arbitrary *closures* (the existing
-  ``analysis.stats.run_trials`` factories) by staging them in a module global
-  before forking, since closures cannot be pickled.  On platforms without
-  ``fork`` it silently degrades to a serial map.
 
 Crash discipline: workers ignore SIGINT and SIGTERM; the parent catches the
 first of either (SIGTERM is re-raised as ``KeyboardInterrupt`` for the
@@ -44,7 +40,6 @@ section 10.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import signal
 import threading
@@ -85,7 +80,6 @@ __all__ = [
     "run_trial",
     "run_trial_batch",
     "run_campaign",
-    "fork_map",
     "default_workers",
 ]
 
@@ -214,10 +208,6 @@ def _group_by_cell(specs: Sequence[TrialSpec]) -> List[List[TrialSpec]]:
         else:
             groups.append([spec])
     return groups
-
-
-def _ignore_sigint() -> None:
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _lane_blocks(pending: Sequence[TrialSpec], workers: int) -> List[List[TrialSpec]]:
@@ -657,38 +647,3 @@ def _run_adaptive(
     notes.emit()
     _emit_campaign_events(notes, trials=done, workers=workers, t_start=t_start)
     return _collect(store, set(controller.scheduled_keys()))
-
-
-# -- closure-friendly parallel map ------------------------------------------------
-
-#: Staged (fn, items) visible to forked children; see fork_map.
-_FORK_STATE: dict = {}
-
-
-def _fork_call(index: int):
-    return _FORK_STATE["fn"](_FORK_STATE["items"][index])
-
-
-def fork_map(fn: Callable, items: Sequence, *, workers: int = 1) -> List:
-    """``[fn(x) for x in items]``, fanned across forked workers when possible.
-
-    Unlike a pool ``map``, ``fn`` may be a closure or lambda: it is staged in
-    a module global that forked children inherit by memory copy, and only the
-    item *index* crosses the process boundary.  Falls back to a serial list
-    comprehension when ``workers <= 1``, when there are fewer than two items,
-    or when the platform lacks the ``fork`` start method.  Result order
-    always matches ``items`` order.
-    """
-    workers = default_workers() if workers == 0 else int(workers)
-    workers = min(workers, len(items))
-    serial = workers <= 1 or "fork" not in multiprocessing.get_all_start_methods()
-    if serial:
-        return [fn(x) for x in items]
-    ctx = multiprocessing.get_context("fork")
-    _FORK_STATE["fn"] = fn
-    _FORK_STATE["items"] = items
-    try:
-        with ctx.Pool(workers, initializer=_ignore_sigint) as pool:
-            return pool.map(_fork_call, range(len(items)))
-    finally:
-        _FORK_STATE.clear()

@@ -467,40 +467,15 @@ def cells_where(cells: List[CellStats], **filters) -> List[CellStats]:
 def aggregate(records: List[TrialRecord]) -> List[CellStats]:
     """Reduce trial records to per-cell stats, in deterministic cell order.
 
-    Records are grouped by cell and sorted by key within each group before
-    any arithmetic, so the output is identical for any arrival order —
-    parallel, serial, or resumed — of the same trial set.
+    Records are sorted by key before a :class:`StreamAggregator` folds
+    them, so each cell's values arrive in key order and the output is
+    identical for any arrival order — parallel, serial, or resumed — of the
+    same trial set.
     """
-    by_cell: Dict[Tuple, List[TrialRecord]] = {}
+    agg = StreamAggregator()
     for record in sorted(records, key=lambda r: r.key):
-        by_cell.setdefault(record.cell, []).append(record)
-    out = []
-    # unset C sorts as -1 so stores mixing limited and unlimited cells order
-    for cell in sorted(by_cell, key=lambda c: tuple(-1 if x is None else x for x in c)):
-        group = by_cell[cell]
-        summaries = {
-            metric: Summary.of(
-                [
-                    float("nan") if getattr(r, metric) is None else getattr(r, metric)
-                    for r in group
-                ]
-            )
-            for metric in METRICS
-        }
-        out.append(
-            CellStats(
-                protocol=cell[0],
-                jammer=cell[1],
-                n=cell[2],
-                budget=cell[3],
-                channels=cell[4],
-                trials=len(group),
-                success_rate=sum(r.success for r in group) / len(group),
-                violations=sum(r.halted_uninformed for r in group),
-                summaries=summaries,
-            )
-        )
-    return out
+        agg.add(record)
+    return agg.cells()
 
 
 # -- streaming (memory-bounded) aggregation ---------------------------------------
@@ -525,15 +500,14 @@ class _CellAccumulator:
 
 
 class StreamAggregator:
-    """Incremental :func:`aggregate`: feed records one at a time, then
-    :meth:`cells`.
+    """The one reduction: feed records one at a time, then :meth:`cells`.
 
-    Equal to :func:`aggregate` to float tolerance — the only difference is
-    summation order (records arrive in file order rather than key-sorted),
-    which moves means and standard deviations by last-ulp amounts; medians,
-    minima and maxima are exact.  Peak memory is the per-cell numeric
-    payload (8 bytes x rows x metrics) plus the key set the caller keeps for
-    dedupe, never the materialized records.
+    :func:`aggregate` feeds it key-sorted records; :func:`stream_aggregate`
+    feeds it rows in file order, which equals :func:`aggregate` to float
+    tolerance — summation order moves means and standard deviations by
+    last-ulp amounts; medians, minima and maxima are exact.  Peak memory is
+    the per-cell numeric payload (8 bytes x rows x metrics) plus the key set
+    the caller keeps for dedupe, never the materialized records.
     """
 
     def __init__(self):

@@ -171,8 +171,7 @@ class RadioNetwork:
 
 class BatchNetwork:
     """``B`` independent :class:`RadioNetwork` executions: the lanes of a
-    :class:`repro.core.batch.LaneStream` (or of a Decay/Naive lockstep
-    ``run_batch``).
+    :class:`repro.core.batch.LaneStream`.
 
     One lane = one seeded trial: its own node generator, its own adversary
     instance, its own clock, and its own column set in a
@@ -182,9 +181,12 @@ class BatchNetwork:
 
     The block API mirrors :class:`RadioNetwork`'s draw/commit discipline, but
     every call takes ``lane_ids`` — the (sorted) indices of lanes taking part
-    in the block.  Finished or truncated lanes are simply omitted from later
-    calls: their clocks freeze and their books stop changing, exactly as if
-    their scalar execution had ended.
+    in the block — and one row count per listed lane (``*_ragged``).
+    Finished or truncated lanes are simply omitted from later calls: their
+    clocks freeze and their books stop changing, exactly as if their scalar
+    execution had ended.  The fixed-shape methods (``draw_channels``,
+    ``draw_coins``, ``draw_jamming``, ``commit_block``, ``commit_counts``)
+    are the ragged calls with every lane at one row count.
 
     Determinism contract: lane ``l`` of a :class:`BatchNetwork` built with
     ``seeds[l]`` and ``adversaries[l]`` produces draws bit-identical to
@@ -205,9 +207,9 @@ class BatchNetwork:
     max_slots:
         Safety cap applied per lane — a scalar for a uniform cap or one
         value per lane (continuous batching refills a slot with a trial
-        that may carry its own cap); :meth:`commit_block` reports (rather
-        than raises) per-lane overruns so one runaway lane cannot abort the
-        batch.
+        that may carry its own cap); :meth:`commit_counts_ragged` reports
+        (rather than raises) per-lane overruns so one runaway lane cannot
+        abort the batch.
     """
 
     def __init__(
@@ -261,106 +263,38 @@ class BatchNetwork:
         """``(B,)`` per-lane next-slot indices (treat as read-only)."""
         return self.energy.slots
 
-    # -- per-lane randomness ---------------------------------------------------
+    # -- uniform-row calls of the ragged block API ------------------------------
+    # Nothing under src/ calls these; perfbench/spans.py wraps them by name.
+    # Each is its ragged twin with every listed lane at ``K`` rows.
     def draw_channels(self, lane_ids: np.ndarray, block_slots: int, num_channels: int) -> np.ndarray:
-        """Stacked per-lane channel draws: ``(len(lane_ids), K, n)`` int32.
-
-        Lane ``l``'s slice comes from lane ``l``'s own generator, filled by
-        :func:`~repro.sim.rng.bounded_integers` with exactly the values (and
-        stream consumption) of the ``integers(0, C, size=(K, n),
-        dtype=int32)`` call a scalar protocol makes, so per-lane streams
-        match the scalar path exactly.
-        """
+        """``(len(lane_ids), K, n)`` :meth:`draw_channels_ragged`."""
         K = int(block_slots)
-        out = np.empty((len(lane_ids), K, self.n), dtype=np.int32)
-        for j, l in enumerate(lane_ids):
-            bounded_integers(self.rngs[l], num_channels, out[j])
-        return out
+        out = self.draw_channels_ragged(lane_ids, np.full(len(lane_ids), K), num_channels)
+        return out.reshape(len(lane_ids), K, self.n)
 
     def draw_coins(self, lane_ids: np.ndarray, block_slots: int) -> np.ndarray:
-        """Stacked per-lane coin draws: ``(len(lane_ids), K, n)`` float64."""
+        """``(len(lane_ids), K, n)`` :meth:`draw_coins_ragged`."""
         K = int(block_slots)
-        out = np.empty((len(lane_ids), K, self.n), dtype=np.float64)
-        for j, l in enumerate(lane_ids):
-            # filling the slice in place consumes the stream exactly like
-            # random((K, n)) would, without the temporary + copy
-            self.rngs[l].random(out=out[j])
-        return out
+        out = self.draw_coins_ragged(lane_ids, np.full(len(lane_ids), K))
+        return out.reshape(len(lane_ids), K, self.n)
 
-    # -- block API ---------------------------------------------------------------
     def draw_jamming(
         self, lane_ids: np.ndarray, block_slots: int, num_channels: int
     ) -> JamBlock:
-        """Eve's jamming for the next ``K`` slots of every listed lane, as one
-        lane-stacked :class:`repro.sim.jam.JamBlock` of ``len(lane_ids) * K``
-        rows (lane-major, matching the batched kernel's key layout).
-
-        Charges each lane's adversary spend immediately, like the scalar
-        engine.  Must be followed by exactly one :meth:`commit_block` over
-        the same lanes and length.
-        """
-        if self._pending is not None:
-            raise BlockProtocolError("draw_jamming called twice without commit_block")
-        lane_ids = np.asarray(lane_ids, dtype=np.int64)
-        K = int(block_slots)
-        C = int(num_channels)
-        if lane_ids.size == 0:
-            raise ValueError("need at least one lane in the block")
-        if K <= 0 or C <= 0:
-            raise ValueError("block_slots and num_channels must be positive")
-        blocks = []
-        totals = np.zeros(lane_ids.size, dtype=np.int64)
-        for j, l in enumerate(lane_ids):
-            adversary = self.adversaries[l]
-            if adversary is None:
-                jam = JamBlock.empty(K, C)
-            else:
-                jam = JamBlock.coerce(
-                    adversary.jam_block(int(self.energy.slots[l]), K, C)
-                )
-                if jam.K != K or jam.C != C:
-                    raise ValueError(
-                        f"adversary of lane {int(l)} returned jamming for "
-                        f"(K={jam.K}, C={jam.C}), expected (K={K}, C={C})"
-                    )
-            totals[j] = jam.total()
-            blocks.append(jam)
-        self.energy.charge_adversary(lane_ids, totals)
-        self._pending = (lane_ids, K)
-        return JamBlock.stack(blocks)
+        """:meth:`draw_jamming_ragged`, stacked into one lane-major block of
+        ``len(lane_ids) * K`` rows."""
+        rows = np.full(len(lane_ids), int(block_slots))
+        return JamBlock.stack(self.draw_jamming_ragged(lane_ids, rows, num_channels))
 
     def commit_block(
         self, lane_ids: np.ndarray, actions: np.ndarray, *, slots_per_row: int = 1
     ) -> np.ndarray:
-        """Charge node energy for the lanes' final actions and advance time.
-
-        ``actions`` is ``(len(lane_ids), K, n)``.  Returns a boolean overrun
-        mask: ``True`` where a lane's clock just passed ``max_slots`` — the
-        per-lane analogue of :class:`SlotLimitExceeded` (callers mask those
-        lanes out and report them truncated; the batch itself continues).
-        """
-        if self._pending is None:
-            raise BlockProtocolError("commit_block called without draw_jamming")
-        lane_ids = np.asarray(lane_ids, dtype=np.int64)
-        pending_ids, pending_K = self._pending
-        if slots_per_row <= 0:
-            raise ValueError("slots_per_row must be positive")
-        if not np.array_equal(lane_ids, pending_ids):
-            raise BlockProtocolError("commit_block lanes differ from draw_jamming lanes")
-        K = int(actions.shape[1]) * int(slots_per_row)
-        if K != pending_K:
-            raise BlockProtocolError(
-                f"committed {K} physical slots but drew jamming for {pending_K}"
-            )
-        if actions.shape[0] != lane_ids.size or actions.shape[2] != self.n:
-            raise ValueError(
-                f"actions shaped {actions.shape}, expected "
-                f"({lane_ids.size}, K, {self.n})"
-            )
+        """:meth:`commit_counts` of a ``(len(lane_ids), K, n)`` action block's
+        per-node listen and send counts."""
         listen = (actions == ACT_LISTEN).sum(axis=1)
         send = ((actions == ACT_SEND_MSG) | (actions == ACT_SEND_BEACON)).sum(axis=1)
         return self.commit_counts(
-            lane_ids, listen, send, int(actions.shape[1]), slots_per_row=slots_per_row
+            lane_ids, listen, send, actions.shape[1], slots_per_row=slots_per_row
         )
 
     def commit_counts(
@@ -372,40 +306,11 @@ class BatchNetwork:
         *,
         slots_per_row: int = 1,
     ) -> np.ndarray:
-        """Commit a block from per-node action *counts* instead of matrices.
-
-        The steady-state kernel (DESIGN.md section 6) never materializes
-        action matrices — it derives each node's listen/send slot counts
-        straight from the coin draws — so the engine accepts the counts
-        directly.  Semantically identical to :meth:`commit_block` on the
-        matrix those counts summarize; same pairing discipline, same overrun
-        mask.
-        """
-        if self._pending is None:
-            raise BlockProtocolError("commit called without draw_jamming")
-        lane_ids = np.asarray(lane_ids, dtype=np.int64)
-        pending_ids, pending_K = self._pending
-        if slots_per_row <= 0:
-            raise ValueError("slots_per_row must be positive")
-        if not np.array_equal(lane_ids, pending_ids):
-            raise BlockProtocolError("commit lanes differ from draw_jamming lanes")
-        K = int(block_rows) * int(slots_per_row)
-        if K != pending_K:
-            raise BlockProtocolError(
-                f"committed {K} physical slots but drew jamming for {pending_K}"
-            )
-        if listen_counts.shape != (lane_ids.size, self.n) or send_counts.shape != (
-            lane_ids.size,
-            self.n,
-        ):
-            raise ValueError(
-                f"counts shaped {listen_counts.shape}/{send_counts.shape}, "
-                f"expected ({lane_ids.size}, {self.n})"
-            )
-        self.energy.charge_nodes(lane_ids, listen_counts, send_counts)
-        self.energy.advance(lane_ids, K)
-        self._pending = None
-        return self.energy.slots[lane_ids] > self.max_slots[lane_ids]
+        """:meth:`commit_counts_ragged` with ``block_rows`` rows per lane."""
+        rows = np.full(len(lane_ids), int(block_rows))
+        return self.commit_counts_ragged(
+            lane_ids, listen_counts, send_counts, rows, slots_per_row=slots_per_row
+        )
 
     # -- continuous lane batching (ragged blocks + slot reuse) -----------------
     def replace_lane(self, lane: int, seed: int, adversary=None, *, max_slots=None) -> None:
@@ -438,10 +343,12 @@ class BatchNetwork:
         self, lane_ids: np.ndarray, block_rows: np.ndarray, num_channels
     ) -> np.ndarray:
         """Concatenated per-lane channel draws: ``(sum(block_rows), n)`` int32,
-        lane-major.  ``block_rows`` gives each listed lane its own row count
-        (the ragged analogue of :meth:`draw_channels`); ``num_channels`` is a
-        scalar or one channel count per lane.  Lane ``l``'s chunk comes from
-        lane ``l``'s own generator, drawn exactly as in :meth:`draw_channels`.
+        lane-major.  ``block_rows`` gives each listed lane its own row count;
+        ``num_channels`` is a scalar or one channel count per lane.  Lane
+        ``l``'s chunk comes from lane ``l``'s own generator, filled by
+        :func:`~repro.sim.rng.bounded_integers` with exactly the values (and
+        stream consumption) of the ``integers(0, C, size=(K, n),
+        dtype=int32)`` call a scalar protocol makes.
         """
         rows = np.asarray(block_rows, dtype=np.int64)
         Cs = np.broadcast_to(
@@ -533,9 +440,15 @@ class BatchNetwork:
         *,
         slots_per_row: int = 1,
     ) -> np.ndarray:
-        """Commit a ragged block from per-node action counts; same pairing
-        discipline and per-lane overrun mask as :meth:`commit_counts`, with
-        each lane advancing by its own ``block_rows[l] * slots_per_row``."""
+        """Charge node energy from per-node action *counts* and advance each
+        listed lane by its own ``block_rows[l] * slots_per_row`` slots.
+
+        The lane kernels (DESIGN.md section 6) never materialize action
+        matrices — they derive each node's listen/send slot counts straight
+        from the draws — so the engine takes the counts.  Returns a boolean
+        overrun mask: ``True`` where a lane's clock just passed ``max_slots``
+        — the per-lane analogue of :class:`SlotLimitExceeded` (callers retire
+        those lanes truncated; the batch itself continues)."""
         if self._pending is None:
             raise BlockProtocolError("commit called without draw_jamming")
         lane_ids = np.asarray(lane_ids, dtype=np.int64)

@@ -138,7 +138,7 @@ class ScalarNetwork:
         Hitting ``max_slots`` with nodes still active does not raise (one
         truncated execution should not abort a study), but it is never
         silent either: :attr:`overrun` flips to True, the way
-        :meth:`repro.sim.engine.BatchNetwork.commit_block` reports per-lane
+        :meth:`repro.sim.engine.BatchNetwork.commit_counts_ragged` reports per-lane
         overruns.  Callers must treat such a run as truncated.
         """
         get_channels = num_channels if callable(num_channels) else (lambda _s: num_channels)

@@ -154,8 +154,8 @@ class TestTrialsAndSweeps:
 
 
 class TestBackends:
-    """run_trials runs lane streams — serial or one stream per worker slice —
-    and every trial equals its per-trial run_broadcast oracle."""
+    """run_trials runs one lane stream, and every trial equals its
+    per-trial run_broadcast oracle."""
 
     N = 16
     TRIALS = 5
@@ -221,14 +221,3 @@ class TestBackends:
         monkeypatch.setattr(batch, "run_broadcast_stream", spy)
         self._assert_batches_equal(self._run().results, self._oracle())
         assert calls == [self.TRIALS]
-
-    def test_workers_split_into_streams_match_serial(self):
-        """workers=2 fans contiguous trial slices over fork_map, one stream
-        per slice: the batch equals the serial one, trial for trial."""
-        self._assert_batches_equal(
-            self._run(workers=2).results, self._run(workers=1).results
-        )
-        self._assert_batches_equal(
-            self._run(workers=2, first_trial=3).results,
-            self._run(workers=1, first_trial=3).results,
-        )

@@ -1,7 +1,7 @@
 """Batched execution must be bit-identical, per lane, to the scalar path.
 
 This is the determinism contract of the lane axis (DESIGN.md section 6):
-for every protocol with a ``run_batch`` and every jammer in the registry,
+for every protocol with a ``run_stream`` and every jammer in the registry,
 running B seeded trials through :func:`repro.core.batch.run_broadcast_batch`
 yields exactly the results of B scalar :func:`repro.core.result.run_broadcast`
 calls — same slots, statuses, event slots, energy books, periods, extras.
@@ -262,8 +262,8 @@ class TestAdvEquivalenceFullScale:
 
 
 class TestDispatcher:
-    def test_scalar_fallback_without_run_batch(self, capsys):
-        """Protocols lacking run_batch run scalar per lane, same interface —
+    def test_scalar_fallback_without_run_stream(self, capsys):
+        """Protocols lacking run_stream run scalar per lane, same interface —
         but stamped ``backend="scalar-fallback"`` and warned about on
         stderr, so campaign logs show which cells didn't batch."""
 

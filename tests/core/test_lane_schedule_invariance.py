@@ -14,9 +14,9 @@ Structure
   two-trial batches across widths {1, 2, 8} under *staggered* per-trial
   slot caps — the workload compaction exists for, with refills guaranteed
   on every multi-slot width — plus direct scalar cross-checks, the
-  ``run_trials`` stream-vs-scalar identity, the stream-entry fallback for
-  protocols without a ``run_stream`` (at width 2 and at the width rule's
-  32, against scalar runs), and a serial-vs-sharded campaign identity.
+  ``run_trials`` stream-vs-scalar identity, the single-channel stand-in at
+  width 2 and the baselines at the width rule's 32 (against scalar runs),
+  and a serial-vs-sharded campaign identity.
 * The full protocol × oblivious-jammer matrix runs behind the ``slow``
   marker (drained batches are themselves pinned bit-identical to scalar
   per lane by ``test_batch_equivalence.py``, so they are a sound reference
@@ -50,14 +50,13 @@ STREAMING_PROTOCOLS = {
     "multicast_c": lambda: build_protocol("multicast_c", N, C=2),
     "adv": lambda: build_protocol("adv", N, knobs=ADV_FAST),
     "adv_c": lambda: build_protocol("adv_c", N, C=2, knobs=ADV_FAST),
-}
-
-#: the baselines: decay/naive have no run_stream, so the stream entry
-#: point runs them in width-sized groups through their run_batch; the
-#: single-channel stand-in streams (it is a MultiCastC)
-STREAMLESS_PROTOCOLS = {
     "decay": lambda: build_protocol("decay", N),
     "naive": lambda: build_protocol("naive", N),
+}
+
+#: the single-channel stand-in, checked against drained two-trial batches
+#: through the stream entry point (it streams as a MultiCastC)
+STREAMLESS_PROTOCOLS = {
     "single_channel": lambda: build_protocol("single_channel", N),
 }
 
@@ -159,9 +158,7 @@ def test_stream_matches_scalar_directly(protocol_name):
 
 @pytest.mark.parametrize("protocol_name", sorted(STREAMLESS_PROTOCOLS))
 def test_streamless_protocols_fall_back_unchanged(protocol_name):
-    """A protocol without run_stream routed through the stream entry point
-    produces the drained-batch rows (including the scalar-fallback stamping
-    for protocols with neither run_stream nor run_batch)."""
+    """The stream entry point at width 2 produces the drained-batch rows."""
     factory = STREAMLESS_PROTOCOLS[protocol_name]
     seeds = SEEDS[:4]
     advs = jammers_for("blanket", 4)
@@ -186,9 +183,9 @@ def test_streamless_protocols_fall_back_unchanged(protocol_name):
 @pytest.mark.parametrize("protocol_name", ["decay", "naive"])
 def test_streamless_protocols_at_their_rule_width(protocol_name):
     """Decay and Naive stream at the width rule's 32 lanes (their passes are
-    a few rows of n = 8 nodes): more trials than one group, under staggered
+    a few rows of n = 8 nodes): more trials than lanes, under staggered
     per-trial caps, still reproduce the per-trial scalar runs."""
-    factory = STREAMLESS_PROTOCOLS[protocol_name]
+    factory = STREAMING_PROTOCOLS[protocol_name]
     assert stream_width(factory()) == 32
     trials = 40
     seeds = [1000 + t for t in range(trials)]

@@ -284,75 +284,6 @@ class TestSpreadBlockFastPaths:
         np.testing.assert_array_equal(out.informed, informed)
 
 
-from repro.core.runner import spread_block_batch  # noqa: E402
-
-
-class TestSpreadBlockBatch:
-    """Lane-batched spreading must equal per-lane scalar spreading exactly,
-    events and all."""
-
-    def _batch(self, rng, B=4, K=48, n=10, C=2):
-        channels = rng.integers(0, C, size=(B, K, n)).astype(np.int64)
-        coins = rng.random((B, K, n))
-        masks = rng.random((B, K, C)) < 0.15
-        return channels, coins, masks
-
-    def test_matches_scalar_per_lane_with_events(self, rng):
-        channels, coins, masks = self._batch(rng)
-        B, K, n = coins.shape
-        build = shared_coin_actions(0.5)  # dense actions -> many events
-        informed = np.zeros((B, n), dtype=bool)
-        informed[:, 0] = True
-        active = np.ones((B, n), dtype=bool)
-        informed_slot = np.full((B, n), -1, dtype=np.int64)
-        informed_slot[:, 0] = 0
-        slot0 = np.arange(B, dtype=np.int64) * 1_000
-        stacked = JamBlock.stack([JamBlock.from_dense(m) for m in masks])
-        out = spread_block_batch(
-            channels, coins, stacked, informed, active, build,
-            slot0=slot0, informed_slot=informed_slot,
-        )
-        any_events = False
-        for b in range(B):
-            ref_informed = np.zeros(n, dtype=bool)
-            ref_informed[0] = True
-            ref_slot = np.full(n, -1, dtype=np.int64)
-            ref_slot[0] = 0
-            ref = spread_block(
-                channels[b], coins[b], masks[b], ref_informed,
-                active[b], build, slot0=int(slot0[b]), informed_slot=ref_slot,
-            )
-            np.testing.assert_array_equal(out.actions[b], ref.actions)
-            np.testing.assert_array_equal(out.feedback[b], ref.feedback)
-            np.testing.assert_array_equal(out.informed[b], ref.informed)
-            np.testing.assert_array_equal(informed_slot[b], ref_slot)
-            any_events |= ref.informed.sum() > 1
-        assert any_events, "test case never produced an informing event"
-
-    def test_entry_statuses_not_mutated(self, rng):
-        channels, coins, masks = self._batch(rng, B=2)
-        B, K, n = coins.shape
-        informed = np.zeros((B, n), dtype=bool)
-        informed[:, 0] = True
-        before = informed.copy()
-        spread_block_batch(
-            channels, coins, masks, informed, np.ones((B, n), dtype=bool),
-            shared_coin_actions(0.5),
-        )
-        np.testing.assert_array_equal(informed, before)
-
-    def test_jam_row_count_validated(self, rng):
-        channels, coins, masks = self._batch(rng, B=2)
-        bad = JamBlock.empty(coins.shape[1], masks.shape[2])  # one lane only
-        with pytest.raises(ValueError):
-            spread_block_batch(
-                channels, coins, bad,
-                np.ones(coins.shape[::2], dtype=bool),
-                np.ones(coins.shape[::2], dtype=bool),
-                shared_coin_actions(0.5),
-            )
-
-
 class TestCountFeedbackBatched:
     def test_lane_axis_counts(self):
         fb = np.array(

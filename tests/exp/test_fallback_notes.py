@@ -2,8 +2,8 @@
 per lane pass.
 
 ``run_broadcast_batch`` warns on stderr when lanes run the scalar block
-engine instead of batching (a protocol with neither ``run_stream`` nor
-``run_batch``, or a ``trace=`` request).  A campaign pushes one
+engine instead of batching (a protocol without ``run_stream``, or a
+``trace=`` request).  A campaign pushes one
 batch call per kernel pass, so the naive warning repeated once per pass; the
 fix collects the counts in a campaign-scoped :class:`FallbackNotes` and
 emits one summary line per cause.
@@ -70,7 +70,7 @@ class TestFallbackNotes:
                 run_broadcast_batch(MultiCast(16), 16, None, [seed, seed + 10])
         assert capsys.readouterr().err == ""
         assert notes.counts[
-            ("MultiCast", "has neither run_stream nor run_batch")
+            ("MultiCast", "has no run_stream")
         ] == [6, 3]
 
     def test_campaign_warns_once_with_the_full_count(

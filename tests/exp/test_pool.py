@@ -1,4 +1,4 @@
-"""Tests for the campaign pool: parallel == serial, resume, progress, fork_map."""
+"""Tests for the campaign pool: parallel == serial, resume, progress."""
 
 import dataclasses
 import json
@@ -6,17 +6,14 @@ import types
 
 import pytest
 
-from repro.analysis import run_trials
 from repro.exp import (
     CampaignSpec,
     ResultStore,
     aggregate,
-    fork_map,
     run_campaign,
     run_trial,
     run_trial_batch,
 )
-from repro import BlanketJammer, MultiCast
 from repro.core.batch import DEFAULT_LANE_WIDTH, stream_width
 from repro.exp.pool import STREAM_BLOCK_FACTOR, _lane_blocks
 from repro.exp.registry import build_protocol, protocol_names
@@ -129,35 +126,6 @@ class TestRunCampaign:
         seen = []
         run_campaign(c, workers=1, progress=lambda d, t, r: seen.append((d, t)))
         assert seen == [(1, 2), (2, 2)]
-
-
-class TestForkMap:
-    def test_order_and_closure_capture(self):
-        offset = 100
-        out = fork_map(lambda x: x + offset, list(range(20)), workers=4)
-        assert out == [x + 100 for x in range(20)]
-
-    def test_serial_fallback_identical(self):
-        fn = lambda x: x * x  # noqa: E731
-        assert fork_map(fn, range(8), workers=1) == fork_map(fn, range(8), workers=3)
-
-    def test_run_trials_workers_match_serial(self):
-        def batch(workers):
-            return run_trials(
-                lambda: MultiCast(16),
-                16,
-                lambda s: BlanketJammer(3000, channels=0.9, placement="random", seed=s),
-                trials=4,
-                base_seed=3,
-                workers=workers,
-            )
-
-        b1, b3 = batch(1), batch(3)
-        assert [r.slots for r in b1.results] == [r.slots for r in b3.results]
-        assert [r.max_cost for r in b1.results] == [r.max_cost for r in b3.results]
-        assert [r.adversary_spend for r in b1.results] == [
-            r.adversary_spend for r in b3.results
-        ]
 
 
 class TestBatchedBackend:

@@ -99,7 +99,7 @@ def test_fallback_notes_appear_exactly_once_in_merged_telemetry(
     note_events = [r for r in rows if r["event"] == "fallback_notes"]
     assert len(note_events) == 1
     (note,) = note_events[0]["notes"]
-    assert note["reason"] == "has neither run_stream nor run_batch"
+    assert note["reason"] == "has no run_stream"
     assert note["lanes"] == len(spec)
     # the fallback-lane counter made it into the parent summary too
     (summary,) = [r for r in rows if r["event"] == "summary"]

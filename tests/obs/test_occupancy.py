@@ -90,8 +90,8 @@ class TestFallbackAccounting:
             assert r.extras["backend"] == "scalar-fallback"
 
     @pytest.mark.parametrize("name", ["naive", "decay"])
-    def test_bespoke_run_batch_protocols_book_their_lanes(self, name):
-        """naive/decay batch through their own run_batch, not
+    def test_always_on_streams_book_their_lanes(self, name):
+        """naive/decay stream through EpidemicStream, not
         run_iterations_stream — their lanes must still land in batch.lanes."""
         counters = counters_for(
             lambda: run_broadcast_stream(
@@ -112,7 +112,7 @@ class TestFallbackAccounting:
 class TestOccupancyInvariant:
     def test_mixed_campaign_lane_counters_sum_to_trials(self):
         """One campaign spanning every batched engine — shared-coin stream,
-        adv stream, bespoke run_batch baselines, the limited-channel variant
+        adv stream, the always-on baselines, the limited-channel variant
         — must book every trial in exactly one lane counter."""
         campaign = CampaignSpec(
             protocols=["multicast", "adv", "naive", "decay", "single_channel"],

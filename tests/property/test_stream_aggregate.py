@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import RunningStat, Summary
+from repro.analysis.stats import Summary
 from repro.exp.store import (
     METRICS,
     StreamAggregator,
@@ -133,33 +133,6 @@ def test_stream_aggregate_key_filter_scopes_to_a_campaign(records):
         if record.key in keys:
             agg.add(record)
     assert_cells_match(expected, agg.cells())
-
-
-@given(
-    st.lists(
-        st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=200,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_running_stat_matches_batch_summary(values):
-    stat = RunningStat().extend(values)
-    batch = Summary.of(values)
-    assert stat.count == len(values)
-    scale = max(1.0, abs(batch.mean))
-    assert math.isclose(stat.mean, batch.mean, rel_tol=1e-9, abs_tol=1e-6 * scale)
-    assert math.isclose(stat.std, batch.std, rel_tol=1e-7, abs_tol=1e-6 * scale)
-    assert math.isclose(stat.ci95, batch.ci95, rel_tol=1e-7, abs_tol=1e-6 * scale)
-    assert stat.lo == batch.lo
-    assert stat.hi == batch.hi
-
-
-def test_running_stat_nan_poisons_like_the_batch():
-    stat = RunningStat().extend([1.0, float("nan"), 3.0])
-    batch = Summary.of([1.0, float("nan"), 3.0])
-    assert math.isnan(stat.std) and math.isnan(batch.std)
-    assert math.isnan(stat.summary().mean)
 
 
 def test_single_row_cell_has_zero_spread():
