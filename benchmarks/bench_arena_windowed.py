@@ -16,8 +16,8 @@ Two protocol rungs, because the attainable speedup is protocol-shaped:
   the >= 10x headline at every rung.
 * ``multicast`` (Fig. 2): nodes draw channel + coin *every slot*; those
   draws are the PeriodDraws contract (bit-identity to the scalar oracle) and
-  are paid identically by both drivers, so the windowed floor is the raw
-  generator fill rate — a ~7-9x speedup, recorded honestly alongside.
+  are paid identically by both drivers, so the speedup is lower — 10-15x
+  in the committed record, recorded honestly alongside.
 
 L = 0 rungs (within-slot sensing, the sniper's power) are timed like the
 rest: the window has no history ring to consult, every row simply targets

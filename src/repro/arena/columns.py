@@ -69,6 +69,9 @@ from repro.sim.rng import RandomFabric, bounded_integers
 
 #: shared empty event list for the all-informed absorb short-circuit
 _NO_EVENTS = np.empty(0, dtype=np.int64)
+#: coin code of a halted node's chunk row in the Figs. 1/2 adapters: neither
+#: listen (0) nor send candidate (1), so the participant scan skips it
+_HALTED_COIN = 2
 
 __all__ = [
     "ColumnProtocol",
@@ -98,7 +101,7 @@ class ColumnProtocol(ABC):
     until the next step.  Adapters precompute chunk-sized *action matrices*
     and re-derive only the affected rows when a status changes (the same
     draws-are-status-independent property :func:`repro.core.runner.spread_block`
-    exploits), so ``begin_slot`` is just two column slices.
+    exploits), so ``begin_slot`` is just two row slices.
     """
 
     n: int
@@ -116,7 +119,7 @@ class ColumnProtocol(ABC):
 
         The two booleans are the presence hints :meth:`ArenaNetwork.step
         <repro.arena.network.ArenaNetwork.step>` accepts — adapters read
-        them off per-chunk column summaries instead of re-reducing the
+        them off per-chunk slot summaries instead of re-reducing the
         action column every slot.  They may be conservatively True (after a
         status change the summaries are only widened), never falsely False;
         ``None`` defers the reduction to the kernel (used by the Fig. 4
@@ -173,7 +176,11 @@ class ColumnProtocol(ABC):
 class _SharedCoinColumns(ColumnProtocol):
     """Common machinery of the Figs. 1/2 adapters: per-node streams, integer
     coins (1 = listen; 2 = broadcast if informed), iteration-boundary halting
-    on a noisy-slot threshold.  Subclasses define the iteration schedule."""
+    on a noisy-slot threshold.  Subclasses define the iteration schedule.
+
+    Each ``DRAW_CHUNK`` chunk is served as row-major ``(k, n)`` channel and
+    action arrays built from the chunk's participants only (see
+    :meth:`_load_chunk`), so windows are contiguous row slices."""
 
     emits_beacons = False
 
@@ -213,41 +220,69 @@ class _SharedCoinColumns(ColumnProtocol):
         self._load_chunk()
 
     def _load_chunk(self) -> None:
+        """Draw the next chunk of every live node's stream and lay it out as
+        row-major ``(k, n)`` channel and action arrays.
+
+        Each live node fills its own row of two node-major int32 arrays,
+        channels then coins (the ``PeriodDraws`` order; int32 takes the same
+        words as the reference's int64 draw).  The reference's coin in
+        ``[1, coin_high]`` is a draw in ``[0, coin_high)`` plus one, so draw
+        0 means listen and draw 1 means send if informed; halted rows hold
+        ``_HALTED_COIN``.  One boolean scan finds the participants, and only
+        they are scattered into the row-major arrays the window kernel reads.
+        """
+        n = self.n
         k = min(DRAW_CHUNK, self.R - self._chunk_base)
-        C = self.n // 2
-        self._ch = np.zeros((self.n, k), dtype=np.int64)
-        self._coin = np.zeros((self.n, k), dtype=np.int64)
-        live = ~self.halted
-        for u in np.nonzero(live)[0]:
+        ch = np.empty((n, k), dtype=np.int32)
+        coin = np.empty((n, k), dtype=np.int32)
+        for u in np.flatnonzero(~self.halted):
             rng = self.rngs[u]
-            bounded_integers(rng, C, self._ch[u])
-            # the reference's coin in [1, coin_high] is a draw in
-            # [0, coin_high) plus one — same words, same values
-            bounded_integers(rng, self.coin_high, self._coin[u])
-        np.add(self._coin, 1, out=self._coin, where=live[:, None])
-        # Halted nodes keep all-zero coin rows, which map to idle below —
-        # no per-slot liveness mask needed.
-        act = np.zeros(self._coin.shape, dtype=np.int8)
-        act[self._coin == 1] = ACT_LISTEN
-        act[(self._coin == 2) & self.informed[:, None]] = ACT_SEND_MSG
-        self._act = act
-        self._listen_cols = (act == ACT_LISTEN).any(axis=0)
-        self._send_cols = (act == ACT_SEND_MSG).any(axis=0)
+            bounded_integers(rng, n // 2, ch[u])
+            bounded_integers(rng, self.coin_high, coin[u])
+        coin[self.halted] = _HALTED_COIN
+        flat = np.flatnonzero(coin < 2)
+        u, t = np.divmod(flat, k)
+        pos = t * n + u
+        send = coin.ravel()[flat] == 1
+        listen = ~send
+        live_send = send & self.informed[u]
+        self._ch = np.zeros((k, n), dtype=np.int32)
+        self._ch.ravel()[pos] = ch.ravel()[flat]
+        self._act = np.zeros((k, n), dtype=np.int8)
+        act = self._act.ravel()
+        act[pos[listen]] = ACT_LISTEN
+        act[pos[live_send]] = ACT_SEND_MSG
+        self._listen_rows = np.zeros(k, dtype=bool)
+        self._listen_rows[t[listen]] = True
+        self._send_rows = np.zeros(k, dtype=bool)
+        self._send_rows[t[live_send]] = True
+        # uninformed nodes' send candidates, node-major: _promote's list
+        cand = send & ~live_send
+        self._cand_u = u[cand]
+        self._cand_t = t[cand]
+
+    def _promote(self, heard: np.ndarray, lo: int) -> None:
+        """Newly informed nodes (``heard``) send at their candidate rows
+        from chunk row ``lo`` on."""
+        sel = heard[self._cand_u] & (self._cand_t >= lo)
+        t = self._cand_t[sel]
+        self._act[t, self._cand_u[sel]] = ACT_SEND_MSG
+        self._send_rows[t] = True
 
     def current_channels(self) -> int:
         return self.n // 2
 
     def begin_slot(self, slot: int) -> Tuple[np.ndarray, np.ndarray, bool, bool]:
-        if self._local == self._ch.shape[1]:
-            self._chunk_base += self._ch.shape[1]
+        if self._local == self._act.shape[0]:
+            self._chunk_base += self._act.shape[0]
             self._local = 0
             self._load_chunk()
         local = self._local
         return (
-            self._ch[:, local],
-            self._act[:, local],
-            bool(self._listen_cols[local]),
-            bool(self._send_cols[local]),
+            self._ch[local],
+            self._act[local],
+            bool(self._listen_rows[local]),
+            bool(self._send_rows[local]),
         )
 
     def end_slot(self, slot: int, feedback: Optional[np.ndarray]) -> None:
@@ -256,13 +291,7 @@ class _SharedCoinColumns(ColumnProtocol):
             if hear.any():
                 self.informed |= hear
                 self.informed_slot[hear] = slot
-                lo = self._local + 1
-                if lo < self._coin.shape[1]:
-                    for u in np.nonzero(hear)[0]:
-                        tail = self._act[u, lo:]
-                        hits = self._coin[u, lo:] == 2
-                        tail[hits] = ACT_SEND_MSG
-                        self._send_cols[lo:] |= hits
+                self._promote(hear, self._local + 1)
             self.noisy += feedback == FB_NOISE
         self._local += 1
         self.t += 1
@@ -288,13 +317,13 @@ class _SharedCoinColumns(ColumnProtocol):
 
     # -- window interface -------------------------------------------------------
     def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self._local == self._ch.shape[1]:
-            self._chunk_base += self._ch.shape[1]
+        if self._local == self._act.shape[0]:
+            self._chunk_base += self._act.shape[0]
             self._local = 0
             self._load_chunk()
         lo = self._local
-        W = min(int(limit), self._ch.shape[1] - lo)
-        return self._ch[:, lo:lo + W].T, self._act[:, lo:lo + W].T
+        W = min(int(limit), self._act.shape[0] - lo)
+        return self._ch[lo:lo + W], self._act[lo:lo + W]
 
     def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
         W = feedback.shape[0]
@@ -309,13 +338,7 @@ class _SharedCoinColumns(ColumnProtocol):
             heard = hear[A - 1]
             self.informed |= heard
             self.informed_slot[heard] = slot + A - 1
-            lo = self._local + A
-            if lo < self._coin.shape[1]:
-                for u in np.nonzero(heard)[0]:
-                    tail = self._act[u, lo:]
-                    hits = self._coin[u, lo:] == 2
-                    tail[hits] = ACT_SEND_MSG
-                    self._send_cols[lo:] |= hits
+            self._promote(heard, self._local + A)
         self._local += A
         self.t += A
         if self.t == self.R:

@@ -40,12 +40,11 @@ __all__ = ["DecayBroadcast"]
 def _decay_actions(coins: np.ndarray, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Decay action rule: uninformed nodes listen every slot; informed nodes
     send iff their pre-scaled coin clears the slot's halved threshold (coins
-    arrive multiplied by 2^k, so the test is ``coin < 1``).  Lane-polymorphic
-    like the builders in :mod:`repro.core.runner`: statuses may be ``(n,)``
-    against ``(K, n)`` coins or ``(B, n)`` against ``(B, K, n)``."""
+    arrive multiplied by 2^k, so the test is ``coin < 1``).  ``(K, n)``
+    coins, ``(n,)`` statuses, like the builders in :mod:`repro.core.runner`."""
     actions = np.zeros(coins.shape, dtype=np.int8)
-    np.copyto(actions, ACT_LISTEN, where=(~informed & active)[..., None, :])
-    send = (coins < 1.0) & (informed & active)[..., None, :]
+    np.copyto(actions, ACT_LISTEN, where=(~informed & active)[None, :])
+    send = (coins < 1.0) & (informed & active)[None, :]
     actions[send] = ACT_SEND_MSG
     return actions
 

@@ -33,11 +33,11 @@ __all__ = ["NaiveEpidemic"]
 
 def _epidemic_actions(coins: np.ndarray, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Always-on rule: active informed nodes broadcast, active uninformed
-    nodes listen, inactive nodes idle.  Lane-polymorphic like the builders in
-    :mod:`repro.core.runner` (statuses broadcast as ``status[..., None, :]``)."""
+    nodes listen, inactive nodes idle; ``(K, n)`` coins, ``(n,)`` statuses,
+    like the builders in :mod:`repro.core.runner`."""
     actions = np.zeros(coins.shape, dtype=np.int8)
-    np.copyto(actions, ACT_LISTEN, where=(active & ~informed)[..., None, :])
-    np.copyto(actions, ACT_SEND_MSG, where=(active & informed)[..., None, :])
+    np.copyto(actions, ACT_LISTEN, where=(active & ~informed)[None, :])
+    np.copyto(actions, ACT_SEND_MSG, where=(active & informed)[None, :])
     return actions
 
 

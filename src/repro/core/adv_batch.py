@@ -26,8 +26,8 @@ axis.  This module is the DESIGN.md section 9 kernel:
   one cell grouping with two broadcaster counts (all payloads, and ``m``;
   the beacon ``±`` count is their difference), one jam lookup, and one
   ``bincount`` over (node, outcome) keys for all four counters — the
-  sparse analogue of the 3-D ``resolve_block`` + ``count_feedback`` pass,
-  vectorized across lanes *and* across the R(i, j) slots of the phase.
+  sparse analogue of a per-lane ``resolve_block`` + ``count_feedback``
+  pass, vectorized across lanes *and* across the R(i, j) slots of the phase.
 * :func:`run_adv_stream` — the epoch/phase driver over a
   :class:`repro.core.batch.LaneStream`, mirroring
   :meth:`repro.core.multicast_adv.MultiCastAdv.run` per trial, with the

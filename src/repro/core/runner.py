@@ -54,11 +54,8 @@ __all__ = [
     "count_feedback",
 ]
 
-#: Maps ``(coins, informed, active)`` to an action matrix.  Builders are
-#: shape-polymorphic over an optional leading lane axis: with ``(K, n)``
-#: coins and ``(n,)`` statuses they return ``(K, n)`` actions; with
-#: ``(B, K, n)`` coins and ``(B, n)`` statuses, ``(B, K, n)`` — the status
-#: vectors broadcast as ``status[..., None, :]`` against the coins.
+#: Maps ``(coins, informed, active)`` to an action matrix: ``(K, n)`` coins
+#: and ``(n,)`` statuses give ``(K, n)`` actions.
 ActionBuilder = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -72,9 +69,9 @@ def shared_coin_actions(p: float) -> ActionBuilder:
 
     def build(coins: np.ndarray, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
         actions = np.zeros(coins.shape, dtype=np.int8)
-        act = active[..., None, :]
+        act = active[None, :]
         listen = (coins < p) & act
-        send = (coins >= p) & (coins < 2 * p) & informed[..., None, :] & act
+        send = (coins >= p) & (coins < 2 * p) & informed[None, :] & act
         actions[listen] = ACT_LISTEN
         actions[send] = ACT_SEND_MSG
         return actions
@@ -90,9 +87,9 @@ def adv_step_one_actions(p: float) -> ActionBuilder:
 
     def build(coins: np.ndarray, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
         actions = np.zeros(coins.shape, dtype=np.int8)
-        hit = (coins < p) & active[..., None, :]
-        actions[hit & ~informed[..., None, :]] = ACT_LISTEN
-        actions[hit & informed[..., None, :]] = ACT_SEND_MSG
+        hit = (coins < p) & active[None, :]
+        actions[hit & ~informed[None, :]] = ACT_LISTEN
+        actions[hit & informed[None, :]] = ACT_SEND_MSG
         return actions
 
     return build
@@ -108,12 +105,12 @@ def adv_step_two_actions(p: float) -> ActionBuilder:
 
     def build(coins: np.ndarray, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
         actions = np.zeros(coins.shape, dtype=np.int8)
-        act = active[..., None, :]
+        act = active[None, :]
         listen = (coins < p) & act
         send = (coins >= p) & (coins < 2 * p) & act
         actions[listen] = ACT_LISTEN
-        actions[send & informed[..., None, :]] = ACT_SEND_MSG
-        actions[send & ~informed[..., None, :]] = ACT_SEND_BEACON
+        actions[send & informed[None, :]] = ACT_SEND_MSG
+        actions[send & ~informed[None, :]] = ACT_SEND_BEACON
         return actions
 
     return build
@@ -218,10 +215,9 @@ def spread_block(
 def count_feedback(feedback: np.ndarray) -> dict:
     """Per-node counters over a block: noisy / silent / message / beacon-or-
     message listens — the N_n, N_s, N_m, N'_m of the pseudocode.  Sums over
-    the slot axis, so ``(K, n)`` feedback yields ``(n,)`` counters and a
-    lane-batched ``(B, K, n)`` block yields ``(B, n)``."""
-    noise = (feedback == FB_NOISE).sum(axis=-2, dtype=np.int64)
-    silence = (feedback == FB_SILENCE).sum(axis=-2, dtype=np.int64)
-    msg = (feedback == FB_MSG).sum(axis=-2, dtype=np.int64)
-    beacon = (feedback == FB_BEACON).sum(axis=-2, dtype=np.int64)
+    the slot axis, so ``(K, n)`` feedback yields ``(n,)`` counters."""
+    noise = (feedback == FB_NOISE).sum(axis=0, dtype=np.int64)
+    silence = (feedback == FB_SILENCE).sum(axis=0, dtype=np.int64)
+    msg = (feedback == FB_MSG).sum(axis=0, dtype=np.int64)
+    beacon = (feedback == FB_BEACON).sum(axis=0, dtype=np.int64)
     return {"noise": noise, "silence": silence, "msg": msg, "msg_or_beacon": msg + beacon}

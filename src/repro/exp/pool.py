@@ -273,9 +273,13 @@ def _shard_worker_init(
 
 def _run_shard_block(specs: List[TrialSpec], attempt: int = 0):
     """Execute one lane block inside a worker; flush it to the worker's
-    shard; return the records plus the block's scalar-fallback tally and
-    telemetry aggregates (both plain dicts — the worker -> parent
+    shard; return ``(record, line)`` pairs plus the block's scalar-fallback
+    tally and telemetry aggregates (both plain dicts — the worker -> parent
     transport; discrete events stream to the worker's telemetry shard).
+
+    ``line`` is the record's store line, serialized once here so the parent
+    appends it as is.  It is taken before any injected ``corrupt_line``, so
+    a corrupted shard copy never reaches the main store.
 
     ``attempt`` is the supervisor's dispatch counter for this block — it
     does not change execution (seeds derive from specs alone), only which
@@ -290,22 +294,23 @@ def _run_shard_block(specs: List[TrialSpec], attempt: int = 0):
         inj.check_trials(keys, attempt)
     with collect_fallback_notes() as notes:
         records = list(run_trial_batch(specs))
+    lines = [record.to_json_line() for record in records]
     fh = _SHARD_STATE["fh"]
     if fh is not None:
-        lines = []
-        for record in records:
-            line = record.to_json_line()
-            if inj is not None:
-                line = inj.corrupt_line(record.key, attempt, line) or line
-            lines.append(line)
-        shard_append(fh, lines)
+        shard_lines = lines
+        if inj is not None:
+            shard_lines = [
+                inj.corrupt_line(record.key, attempt, line) or line
+                for record, line in zip(records, lines)
+            ]
+        shard_append(fh, shard_lines)
         tail = inj.torn_tail(keys, attempt) if inj is not None else None
         if tail is not None:
             fh.write(tail)
             fh.flush()
     tel = _obs_active()
     telem = tel.take_aggregates() if tel is not None else None
-    return records, notes.snapshot(), telem
+    return list(zip(records, lines)), notes.snapshot(), telem
 
 
 def _execute_sharded(
@@ -313,7 +318,7 @@ def _execute_sharded(
     store: ResultStore,
     *,
     workers: int,
-    record_one: Callable[[TrialRecord], None],
+    record_one: Callable[..., None],
     notes: FallbackNotes,
     policy: Optional[SupervisorPolicy] = None,
     recovery: Optional[RecoveryLog] = None,
@@ -510,9 +515,9 @@ def _campaign_body(
     total = len(pending)
     done = 0
 
-    def record_one(record: TrialRecord) -> None:
+    def record_one(record: TrialRecord, line: Optional[str] = None) -> None:
         nonlocal done
-        store.append(record)
+        store.append(record, line)
         done += 1
         if progress is not None:
             progress(done, total, record)
@@ -591,9 +596,9 @@ def _run_adaptive(
     total = 0
     wave_index = 0
 
-    def record_one(record: TrialRecord) -> None:
+    def record_one(record: TrialRecord, line: Optional[str] = None) -> None:
         nonlocal done
-        store.append(record)
+        store.append(record, line)
         controller.observe(record)
         done += 1
         if progress is not None:

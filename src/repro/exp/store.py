@@ -341,12 +341,14 @@ class ResultStore:
             if self.materialize:
                 self._records.append(record)
 
-    def append(self, record: TrialRecord) -> None:
-        """Persist one trial record immediately (line-buffered, flushed)."""
+    def append(self, record: TrialRecord, line: Optional[str] = None) -> None:
+        """Persist one trial record immediately (line-buffered, flushed).
+        ``line`` is the record's ``to_json_line()`` when the caller already
+        has it (a sharded worker serialized the row once)."""
         if record.key in self._keys:
             return
         self._remember(record)
-        self._write_line(record.to_json_line())
+        self._write_line(record.to_json_line() if line is None else line)
 
     def append_stopping(self, record: StoppingRecord) -> None:
         """Persist one stopping decision (idempotent per stopping key)."""

@@ -48,7 +48,6 @@ from repro.exp.shard import merge_shards
 from repro.exp.spec import TrialSpec
 from repro.exp.store import (
     ResultStore,
-    TrialRecord,
     append_jsonl_line,
     checksummed_line,
     row_intact,
@@ -207,6 +206,8 @@ class Supervisor:
     call (a fixed campaign's pending set, or one adaptive wave).  The
     constructor takes the same collaborators the plain executor took, plus
     a :class:`SupervisorPolicy` and a :class:`RecoveryLog` to tally into.
+    ``record_one(record, line=None)`` gets each delivered record, with the
+    store line its worker serialized when it came from the pool.
     """
 
     def __init__(
@@ -214,7 +215,7 @@ class Supervisor:
         *,
         store: ResultStore,
         workers: int,
-        record_one: Callable[[TrialRecord], None],
+        record_one: Callable[..., None],
         notes: FallbackNotes,
         policy: Optional[SupervisorPolicy] = None,
         recovery: Optional[RecoveryLog] = None,
@@ -330,7 +331,7 @@ class Supervisor:
             fut = done.pop()
             candidates.remove(fut)
             try:
-                records, counts, telem = fut.result()
+                rows, counts, telem = fut.result()
             except (BrokenProcessPool, KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
@@ -359,11 +360,13 @@ class Supervisor:
                 ]
                 continue
             self._zombies.extend(candidates)  # losing twin, if any
-            self._deliver(records, counts, telem, pending_after)
+            self._deliver(rows, counts, telem, pending_after)
             block.done = True
             return
 
-    def _deliver(self, records, counts, telem, pending_after: int) -> None:
+    def _deliver(self, rows, counts, telem, pending_after: int) -> None:
+        """Hand a worker block's ``(record, line)`` rows to ``record_one``
+        in order, after folding its fallback tally and telemetry."""
         self.notes.merge(counts)
         tel = _obs_active()
         if tel is not None:
@@ -374,8 +377,8 @@ class Supervisor:
                 pending=pending_after,
                 elapsed=round(time.perf_counter() - tel.t0, 6),
             )
-        for record in records:
-            self.record_one(record)
+        for record, line in rows:
+            self.record_one(record, line)
 
     def _drain_zombies(self) -> None:
         """Collect losing straggler twins after the round's shutdown; their

@@ -81,22 +81,19 @@ def resolve_block(
     channels:
         ``(K, n)`` integer array; ``channels[t, u]`` is node ``u``'s channel in
         slot ``t`` of the block, in ``[0, C)``.  Only consulted for nodes whose
-        action is not ``ACT_IDLE``.  A batched ``(B, K, n)`` form is accepted
-        too — see Notes.
+        action is not ``ACT_IDLE``.
     actions:
-        ``(K, n)`` (or batched ``(B, K, n)``) int8 array of ``ACT_*`` codes.
+        ``(K, n)`` int8 array of ``ACT_*`` codes.
     jammed:
         The adversary's mask for the block: a dense ``(K, C)`` boolean array
-        or a sparse :class:`repro.sim.jam.JamBlock`.  In the batched form,
-        a dense ``(B, K, C)`` array or a lane-stacked JamBlock of ``B*K``
-        rows (see :meth:`repro.sim.jam.JamBlock.stack`).
+        or a sparse :class:`repro.sim.jam.JamBlock`.
     check:
         When true, validate shapes/ranges (cheap but not free; used by tests).
 
     Returns
     -------
-    ``(K, n)`` (batched: ``(B, K, n)``) int8 array of ``FB_*`` codes.  Nodes
-    that did not listen get ``FB_NONE``.
+    ``(K, n)`` int8 array of ``FB_*`` codes.  Nodes that did not listen get
+    ``FB_NONE``.
 
     Notes
     -----
@@ -107,28 +104,7 @@ def resolve_block(
     * **sparse** (K*C large): outcomes are computed only at the <= K·n
       (slot, channel) keys actually touched by a non-idle node, with jamming
       answered by the JamBlock's binary search — O(K·n·log) independent of C.
-
-    **Batched (lane) form.**  Slots are resolved independently, so a batch of
-    ``B`` concurrent trial lanes is exactly a block of ``B*K`` rows: the
-    3-D inputs flatten lane-major and the flat bincount key becomes
-    ``lane*K*C + slot*C + channel``.  One kernel pass resolves every lane —
-    per-lane semantics are bit-identical to ``B`` scalar calls (see
-    DESIGN.md section 6).
     """
-    if actions.ndim == 3:
-        B, K, n = actions.shape
-        jam = JamBlock.coerce(jammed)
-        if jam.K != B * K:
-            raise ValueError(
-                f"batched jam block has {jam.K} rows, expected B*K = {B * K}"
-            )
-        flat_fb = resolve_block(
-            np.ascontiguousarray(channels).reshape(B * K, n),
-            np.ascontiguousarray(actions).reshape(B * K, n),
-            jam,
-            check=check,
-        )
-        return flat_fb.reshape(B, K, n)
     jam = JamBlock.coerce(jammed)
     K, n = actions.shape
     C = jam.C

@@ -96,20 +96,10 @@ class JamBlock:
 
     @classmethod
     def coerce(cls, jam: Union["JamBlock", np.ndarray]) -> "JamBlock":
-        """Normalize a strategy's return value (dense array or JamBlock).
-
-        A 3-D ``(B, K, C)`` dense mask (one lane per leading index) is
-        accepted too and flattens to a ``(B*K, C)`` block — the lane-major
-        row layout the batched kernel path expects (see
-        :func:`repro.sim.channel.resolve_block` and :meth:`stack`).
-        """
+        """Normalize a strategy's return value (dense array or JamBlock)."""
         if isinstance(jam, cls):
             return jam
-        jam = np.asarray(jam, dtype=bool)
-        if jam.ndim == 3:
-            B, K, C = jam.shape
-            return cls.from_dense(jam.reshape(B * K, C))
-        return cls.from_dense(jam)
+        return cls.from_dense(np.asarray(jam, dtype=bool))
 
     @classmethod
     def stack(cls, blocks: Sequence["JamBlock"]) -> "JamBlock":

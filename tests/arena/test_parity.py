@@ -35,6 +35,7 @@ from repro.adversary.reactive import (
 from repro.arena import run_broadcast_adaptive
 from repro.baselines import DecayBroadcast, NaiveEpidemic, SingleChannelCompetitive
 from repro.core.reference import (
+    DRAW_CHUNK,
     run_scalar_multicast,
     run_scalar_multicast_adv,
     run_scalar_multicast_core,
@@ -101,6 +102,52 @@ class TestReferenceParity:
             MultiCast(N, a=0.005), N, JAMMERS[jammer](), seed=seed
         )
         assert_parity(scalar, arena, ("multicast", jammer, seed))
+
+
+class TestChunkBoundaryParity:
+    """Runs whose per-node draws cross a ``DRAW_CHUNK`` boundary: the cases
+    above all end inside their first chunk, so only these reach a second
+    chunk load, an odd final chunk (its draws take numpy's buffered
+    half-word path) and chunks drawn after some nodes have halted."""
+
+    @pytest.mark.parametrize("jammer", ["none", "sniper"])
+    def test_core_iteration_ends_in_an_odd_chunk(self, jammer):
+        proto = MultiCastCore(n=8, T=0, a=3001)
+        assert proto.iteration_slots == DRAW_CHUNK + 811
+        scalar = run_scalar_multicast_core(
+            8, T=0, a=3001, adversary=JAMMERS[jammer](), seed=3
+        )
+        arena = run_broadcast_adaptive(proto, 8, JAMMERS[jammer](), seed=3)
+        assert_parity(scalar, arena, ("core chunks", jammer))
+        assert arena.slots == proto.iteration_slots
+
+    def test_core_chunks_drawn_after_staggered_halts(self):
+        """Half the channels jammed: nodes halt at different iteration
+        ends, so every later chunk is drawn with halted rows."""
+        scalar = run_scalar_multicast_core(
+            8, T=0, a=300, adversary=BlanketJammer(20_000, channels=0.5), seed=1
+        )
+        arena = run_broadcast_adaptive(
+            MultiCastCore(n=8, T=0, a=300), 8,
+            BlanketJammer(20_000, channels=0.5), seed=1,
+        )
+        assert_parity(scalar, arena, ("core halts",))
+        assert len(set(scalar.halt_slot.tolist())) >= 3
+
+    def test_multicast_halted_rows_across_a_later_chunk_boundary(self):
+        """Fig. 2 from iteration 2: R = 288, 1728, 9216.  Some nodes halt
+        after the first two iterations; the third crosses a chunk."""
+        proto = MultiCast(8, a=1.0, start_iteration=2)
+        lengths = [proto.iteration_length(i) for i in (2, 3, 4)]
+        scalar = run_scalar_multicast(
+            8, BlanketJammer(8_000, channels=0.5), a=1.0, start_iteration=2, seed=1
+        )
+        arena = run_broadcast_adaptive(
+            proto, 8, BlanketJammer(8_000, channels=0.5), seed=1
+        )
+        assert_parity(scalar, arena, ("multicast halts",))
+        assert lengths[2] > DRAW_CHUNK and scalar.slots == sum(lengths)
+        assert scalar.halt_slot.min() <= lengths[0] + lengths[1]
 
 
 class TestMultiCastAdvParity:

@@ -282,27 +282,3 @@ class TestSpreadBlockFastPaths:
             channels, coins, jam, informed, active, shared_coin_actions(0.25)
         )
         np.testing.assert_array_equal(out.informed, informed)
-
-
-class TestCountFeedbackBatched:
-    def test_lane_axis_counts(self):
-        fb = np.array(
-            [
-                [[FB_MSG, FB_NOISE], [FB_SILENCE, FB_NOISE]],
-                [[FB_NONE, FB_BEACON], [FB_MSG, FB_NONE]],
-            ],
-            dtype=np.int8,
-        )
-        c = count_feedback(fb)
-        np.testing.assert_array_equal(c["noise"], [[0, 2], [0, 0]])
-        np.testing.assert_array_equal(c["msg"], [[1, 0], [1, 0]])
-        np.testing.assert_array_equal(c["msg_or_beacon"], [[1, 0], [1, 1]])
-        np.testing.assert_array_equal(c["silence"], [[1, 0], [0, 0]])
-
-    def test_lane_counts_match_per_lane(self, rng):
-        fb = rng.integers(-1, 4, size=(3, 16, 5)).astype(np.int8)
-        batched = count_feedback(fb)
-        for b in range(3):
-            single = count_feedback(fb[b])
-            for key in batched:
-                np.testing.assert_array_equal(batched[key][b], single[key])

@@ -119,49 +119,3 @@ def test_jamming_only_adds_noise(block):
     listening = actions == ACT_LISTEN
     changed = listening & (fb_jam != fb_clean)
     assert (fb_jam[changed] == FB_NOISE).all()
-
-
-@st.composite
-def lane_batches(draw):
-    B = draw(st.integers(1, 4))
-    K = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 8))
-    C = draw(st.integers(1, 5))
-    seed = draw(st.integers(0, 2**31 - 1))
-    rng = np.random.default_rng(seed)
-    channels = rng.integers(0, C, size=(B, K, n))
-    actions = rng.choice(
-        np.array([ACT_IDLE, ACT_LISTEN, ACT_SEND_MSG, ACT_SEND_BEACON], dtype=np.int8),
-        size=(B, K, n),
-        p=[0.3, 0.3, 0.3, 0.1],
-    )
-    jam = rng.random((B, K, C)) < draw(st.floats(0.0, 1.0))
-    return channels, actions, jam
-
-
-@given(lane_batches())
-@settings(max_examples=60, deadline=None)
-def test_batched_resolution_equals_scalar_per_lane(batch):
-    """The lane axis is pure bookkeeping: resolving a (B, K, n) batch in one
-    flat pass must reproduce each lane's scalar resolution bit for bit."""
-    channels, actions, jam = batch
-    B = actions.shape[0]
-    stacked = JamBlock.stack([JamBlock.from_dense(jam[b]) for b in range(B)])
-    fb = resolve_block(channels, actions, stacked)
-    assert fb.shape == actions.shape
-    for b in range(B):
-        np.testing.assert_array_equal(
-            fb[b], resolve_block(channels[b], actions[b], jam[b])
-        )
-
-
-@given(lane_batches())
-@settings(max_examples=30, deadline=None)
-def test_batched_resolution_accepts_dense_lane_masks(batch):
-    channels, actions, jam = batch
-    B = actions.shape[0]
-    stacked = JamBlock.stack([JamBlock.from_dense(jam[b]) for b in range(B)])
-    np.testing.assert_array_equal(
-        resolve_block(channels, actions, jam),
-        resolve_block(channels, actions, stacked),
-    )

@@ -189,12 +189,6 @@ class TestEdgeCases:
         assert dense.sum() == jb.total() == 5 * K
         np.testing.assert_array_equal(JamBlock.coerce(dense).to_dense(), dense)
 
-    def test_coerce_three_dimensional_mask_stacks_lanes(self, rng):
-        masks = rng.random((3, 4, 5)) < 0.4
-        jb = JamBlock.coerce(masks)
-        assert jb.K == 12 and jb.C == 5
-        np.testing.assert_array_equal(jb.to_dense(), masks.reshape(12, 5))
-
 
 class TestStack:
     def test_stack_matches_dense_concatenation(self, rng):

@@ -208,6 +208,37 @@ class TestBoundedIntegers:
         self.check(*self.twins(seed=seed), 2**k, tuple(shape), dtype)
 
 
+class TestInt32DrawsMatchInt64:
+    """The dtype contract the Figs. 1/2 arena adapters rely on: they fill
+    int32 chunk rows, while ``core/reference.py::PeriodDraws`` draws numpy's
+    default int64.  For bounds up to 2**31 numpy takes one 32-bit word per
+    value for both dtypes, so the values must be equal and the generator
+    must end in the same state: the next 8 draws agree.  If a numpy release
+    broke this, arena-vs-reference parity would break silently everywhere
+    the parity suite does not reach."""
+
+    HIGHS = [1, 2, 3, 6, 32, 64, 2**20, 2**31]
+    COUNTS = [1, 2, 3, 811, 1967, 8192]
+
+    @pytest.mark.parametrize("half_word", [False, True])
+    @pytest.mark.parametrize("k", COUNTS)
+    @pytest.mark.parametrize("high", HIGHS)
+    def test_values_and_stream_position(self, high, k, half_word):
+        wide_rng, narrow_rng = TestBoundedIntegers.twins(seed=17)
+        if half_word:
+            for g in (wide_rng, narrow_rng):
+                g.integers(0, 4, size=1, dtype=np.int32)
+                assert g.bit_generator.state["has_uint32"] == 1
+        wide = wide_rng.integers(0, high, size=k)
+        narrow = narrow_rng.integers(0, high, size=k, dtype=np.int32)
+        assert wide.dtype == np.int64 and narrow.dtype == np.int32
+        np.testing.assert_array_equal(narrow, wide)
+        assert wide_rng.bit_generator.state == narrow_rng.bit_generator.state
+        np.testing.assert_array_equal(
+            wide_rng.integers(0, high, size=8), narrow_rng.integers(0, high, size=8)
+        )
+
+
 class TestSkipBoundedIntegers:
     """``skip_bounded_integers`` against the draw it stands for, the one the
     quiet MultiCastAdv step-I lanes skip (DESIGN.md sections 6.5 and 9.2).
