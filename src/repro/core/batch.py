@@ -12,10 +12,12 @@ and 13):
   the informing events, and the resulting statuses — and under the shared
   coin all of those are pure functions of the ~2pKn draws that clear the
   participation coin.  So the kernel extracts those participants once,
-  resolves the "uninformed node heard m" cascade as a vectorized
-  fixed-point over per-node informing rows, and reduces the counters in one
+  splits them once into listens and broadcast-coin hits keyed by flat
+  ``lane*n + node``, resolves the "uninformed node heard m" cascade as a
+  vectorized fixed-point over per-node informing rows (skipped when no lane
+  has an active uninformed node), and reduces the counters in one
   sender-keyed pass — no ``resolve_block``, no ``(B, K, n)`` action/feedback
-  materialization, one flat key space ``global_row*C + channel``.
+  materialization, one flat cell key space ``global_row*C + channel``.
 * :func:`_epidemic_ragged` — the always-on kernel of the Decay and Naive
   baselines (every uninformed node listens in every row), settling each
   lane's earliest hearing row per pass.
@@ -202,9 +204,12 @@ def _shared_coin_ragged(
     but touches only the draws that clear the participation coin:
 
     1.  **Participants.**  A node acts iff its coin < 2p (listen below p,
-        broadcast — when informed — in [p, 2p)); everything below works on
-        the ``(lane, row, node)`` triples of those hits.  Listen energy is
-        status-independent and counted immediately.
+        broadcast — when informed — in [p, 2p)).  The ``(lane, row, node)``
+        triples of those hits are split once into *listens* and
+        *broadcast-coin hits*, each kept in flat (lane, row, node) order
+        with only the fields later steps read; the full-length hit arrays
+        are dropped.  Listen energy is status-independent and counted
+        immediately.
     2.  **Event cascade.**  Whether a broadcast-coin hit is a real broadcast
         depends on when its node learned ``m``, captured as a per-node
         *informing row* (-1 = knew at block entry, K = not yet).  An
@@ -214,126 +219,124 @@ def _shared_coin_ragged(
         broadcasters at later rows only, so iterating "detect earliest event
         per lane -> record informing rows -> re-detect past it" reaches the
         same fixed point the scalar tail re-resolution loop does, with every
-        lane advancing per pass.
+        lane advancing per pass.  A block with no active uninformed node
+        has no listener left to inform and skips the cascade.
     3.  **Counters.**  With informing rows final, a broadcast-coin hit is a
         send iff its row is later than its node's informing row, and a
         listen is noisy iff its cell is jammed or holds >= 2 such sends.
 
-    Every cell count (current broadcasters, potential broadcasters, the
-    final noise count) is a ``bincount`` over the pass's one cell grouping
-    (:func:`_cell_groups`).
+    Nodes are keyed ``lane * n + node`` into raveled ``(L * n,)`` arrays,
+    so every per-node read is a 1-D take and every per-node minimum a 1-D
+    ``np.minimum.at``; every subset (current and potential broadcasters,
+    learners, noisy listens) is an ``np.flatnonzero`` index array.  Every
+    cell count is a ``bincount`` over the pass's one cell grouping
+    (:func:`_cell_groups`), and jamming is looked up only when the block
+    has any (DESIGN.md section 6.3).
     """
-    T, n = coins.shape
+    n = coins.shape[1]
     L = offsets.size - 1
-    lane_rows = np.diff(offsets)
-    C = jam.C
+    LN = L * n
     # One flat extraction pass; the raveled gathers below walk memory in
     # increasing order, which matters more than it looks at these sizes.
     flat, lane, row, node, cell = _participants(
-        coins, channels, active, 2.0 * p, offsets, C
+        coins, channels, active, 2.0 * p, offsets, jam.C
     )
     gid, G = _cell_groups(cell)
+    key = lane * n + node  # flat (lane, node) key into every (L*n,) array
     is_listen = coins.ravel()[flat] < p[lane]
-    node_key = lane * n + node
-    listen_counts = np.bincount(node_key[is_listen], minlength=L * n).reshape(L, n)
-    # Jamming at listen cells, once for the whole block (binary search in the
-    # stacked block's key space).
-    jam_at = np.zeros(lane.shape[0], dtype=bool)
-    jam_at[is_listen] = jam.lookup_keys(cell[is_listen])
+    # Split once into listens (coin < p) and broadcast-coin hits (p <= coin
+    # < 2p), both still in flat (lane, row, node) order, and gather per
+    # subset only what the steps below read.
+    listens = np.flatnonzero(is_listen)
+    coin_sends = np.flatnonzero(~is_listen)
+    l_key, l_gid, l_row, l_lane = key[listens], gid[listens], row[listens], lane[listens]
+    # jamming at listen cells, once for the whole block (None: no jamming)
+    l_jam = jam.lookup_keys(cell[listens]) if jam.total() else None
+    s_key, s_gid, s_row = key[coin_sends], gid[coin_sends], row[coin_sends]
+    # free the full-length hit arrays before the cascade allocates
+    del flat, lane, row, node, cell, gid, key, is_listen, listens, coin_sends
+    listen_counts = np.bincount(l_key, minlength=LN).reshape(L, n)
 
     # sentinel informing row: not informed in this block.  One sentinel past
-    # every lane's last local row works for all lanes (rows < lane_rows[l]).
-    NEVER = np.int64(lane_rows.max())
-    informing_row = np.where(informed, np.int64(-1), NEVER)  # (L, n)
+    # every lane's last local row works for all lanes.
+    NEVER = np.int64(np.diff(offsets).max())
+    informing_row = np.where(informed.ravel(), np.int64(-1), NEVER)  # (L*n,)
 
-    frontier = np.full(L, -1, dtype=np.int64)  # rows <= frontier are settled
-    while True:
-        informing_at_hit = informing_row[lane, node]
-        learner_idx = np.flatnonzero(
-            is_listen & (informing_at_hit == NEVER) & (row > frontier[lane])
-        )
-        if not learner_idx.size:
-            break
-        learner_gid = gid[learner_idx]
-        sends = ~is_listen & (row > informing_at_hit)
-        count = np.bincount(gid[sends], minlength=G)[learner_gid]
-        heard = (count == 1) & ~jam_at[learner_idx]
-        if not heard.any():
-            break
-        heard_idx = learner_idx[heard]
-        heard_lane = lane[heard_idx]
-        heard_row = row[heard_idx]
-        heard_node = node[heard_idx]
-        # Optimistic acceptance.  A hearing is *cell-safe* — no
-        # later-resolved event can flip its own cell — iff no
-        # still-uninformed node holds a broadcast coin on it: those are the
-        # only broadcasts the cascade can still add (or, by collision,
-        # remove).  That is not sufficient on its own: the *same node* may
-        # have an earlier listen that is still volatile (pending hearing,
-        # or a cell a future broadcast could turn into one), and the node
-        # must inform at its earliest hearing — so a cell-safe hearing is
-        # accepted only when it is the node's earliest volatile listen.
-        # The earliest hearing per lane is additionally always definitive
-        # (np.nonzero order is (lane, row, node)-sorted, so the first index
-        # per lane is its earliest row): events only add broadcasts at rows
-        # past the informing row, and no event precedes the earliest
-        # hearing.  Accepted events therefore cannot interfere with one
-        # another, and a typical block settles in a couple of passes
-        # instead of one per event row.
-        potential = ~is_listen & (informing_at_hit == NEVER)
-        exposed = np.bincount(gid[potential], minlength=G)[learner_gid] > 0
-        cell_safe = ~exposed[heard]
-        # first volatile listen row, computed only for the nodes that have a
-        # cell-safe hearing to validate (np.minimum.at is an unbuffered
-        # per-element loop; keep its input tiny)
-        candidate_keys = np.unique(
-            heard_lane[cell_safe] * n + heard_node[cell_safe]
-        )
-        volatile = exposed | heard
-        vol_idx = learner_idx[volatile]
-        vol_keys = lane[vol_idx] * n + node[vol_idx]
-        relevant = vol_idx[
-            vol_keys == candidate_keys[
-                np.minimum(
-                    np.searchsorted(candidate_keys, vol_keys),
-                    max(0, candidate_keys.size - 1),
-                )
-            ]
-        ] if candidate_keys.size else vol_idx[:0]
-        first_volatile = np.full((L, n), NEVER, dtype=np.int64)
-        np.minimum.at(
-            first_volatile, (lane[relevant], node[relevant]), row[relevant]
-        )
-        safe = cell_safe & (heard_row == first_volatile[heard_lane, heard_node])
-        event_lanes, first = np.unique(heard_lane, return_index=True)
-        first_row = np.full(L, NEVER, dtype=np.int64)
-        first_row[event_lanes] = heard_row[first]
-        definitive = safe | (heard_row == first_row[heard_lane])
-        ev_lane = heard_lane[definitive]
-        ev_row = heard_row[definitive]
-        ev_node = heard_node[definitive]
-        # A node can still carry two accepted hearings (lane-first plus a
-        # later cell-safe one); it informs at the earliest, hence minimum
-        # rather than last-write-wins.
-        np.minimum.at(informing_row, (ev_lane, ev_node), ev_row)
-        # New broadcasts appear only at rows past this pass's earliest
-        # hearing, so nothing below it can still change.
-        frontier[event_lanes] = heard_row[first]
+    # Halted nodes have no hits, so a block without an active uninformed
+    # node has no learner and nothing to cascade.
+    if (active & ~informed).any():
+        frontier = np.full(L, -1, dtype=np.int64)  # rows <= frontier are settled
+        while True:
+            learners = np.flatnonzero(
+                (informing_row[l_key] == NEVER) & (l_row > frontier[l_lane])
+            )
+            if not learners.size:
+                break
+            learner_gid = l_gid[learners]
+            s_informing = informing_row[s_key]
+            current = np.flatnonzero(s_row > s_informing)
+            heard = np.bincount(s_gid[current], minlength=G)[learner_gid] == 1
+            if l_jam is not None:
+                heard &= ~l_jam[learners]
+            heard_at = np.flatnonzero(heard)
+            if not heard_at.size:
+                break
+            heard_idx = learners[heard_at]
+            heard_lane = l_lane[heard_idx]
+            heard_row = l_row[heard_idx]
+            heard_key = l_key[heard_idx]
+            # Optimistic acceptance.  A hearing is *cell-safe* — no
+            # later-resolved event can flip its own cell — iff no
+            # still-uninformed node holds a broadcast coin on it: those are
+            # the only broadcasts the cascade can still add (or, by
+            # collision, remove).  That is not sufficient on its own: the
+            # *same node* may have an earlier listen that is still volatile
+            # (pending hearing, or a cell a future broadcast could turn into
+            # one), and the node must inform at its earliest hearing — so a
+            # cell-safe hearing is accepted only when it is the node's
+            # earliest volatile listen.  The earliest hearing per lane is
+            # additionally always definitive: events only add broadcasts at
+            # rows past the informing row, and no event precedes the
+            # earliest hearing.  Accepted events therefore cannot interfere
+            # with one another, and a typical block settles in a couple of
+            # passes instead of one per event row.
+            potential = np.flatnonzero(s_informing == NEVER)
+            exposed = np.bincount(s_gid[potential], minlength=G)[learner_gid] > 0
+            cell_safe = ~exposed[heard_at]
+            # each node's first volatile listen row (read only where the
+            # hearing is cell-safe)
+            volatile = learners[np.flatnonzero(exposed | heard)]
+            first_volatile = np.full(LN, NEVER, dtype=np.int64)
+            np.minimum.at(first_volatile, l_key[volatile], l_row[volatile])
+            safe = cell_safe & (heard_row == first_volatile[heard_key])
+            first_row = np.full(L, NEVER, dtype=np.int64)
+            np.minimum.at(first_row, heard_lane, heard_row)
+            definitive = np.flatnonzero(safe | (heard_row == first_row[heard_lane]))
+            # A node can still carry two accepted hearings (lane-first plus a
+            # later cell-safe one); it informs at the earliest, hence minimum
+            # rather than last-write-wins.
+            np.minimum.at(informing_row, heard_key[definitive], heard_row[definitive])
+            # New broadcasts appear only at rows past this pass's earliest
+            # hearing, so nothing below it can still change; a lane that
+            # heard nothing this pass never will (NEVER settles it).
+            np.maximum(frontier, first_row, out=frontier)
 
-    if informed_slot is not None:
-        new_lane, new_node = np.nonzero((informing_row >= 0) & (informing_row < NEVER))
-        informed_slot[new_lane, new_node] = (
-            slot0[new_lane] + informing_row[new_lane, new_node] * slot_scale
-        )
+        if informed_slot is not None:
+            new = np.flatnonzero((informing_row >= 0) & (informing_row < NEVER))
+            new_lane, new_node = np.divmod(new, n)
+            informed_slot[new_lane, new_node] = (
+                slot0[new_lane] + informing_row[new] * slot_scale
+            )
 
-    sends = ~is_listen & (row > informing_row[lane, node])
-    send_counts = np.bincount(node_key[sends], minlength=L * n).reshape(L, n)
-    count = np.bincount(gid[sends], minlength=G)[gid[is_listen]]
-    noisy = jam_at[is_listen] | (count >= 2)
+    sent = np.flatnonzero(s_row > informing_row[s_key])
+    send_counts = np.bincount(s_key[sent], minlength=LN).reshape(L, n)
+    noisy = np.bincount(s_gid[sent], minlength=G)[l_gid] >= 2
+    if l_jam is not None:
+        noisy |= l_jam
     noise_counts = np.bincount(
-        node_key[is_listen][noisy], minlength=L * n
+        l_key[np.flatnonzero(noisy)], minlength=LN
     ).reshape(L, n)
-    return listen_counts, send_counts, noise_counts, informing_row < NEVER
+    return listen_counts, send_counts, noise_counts, (informing_row < NEVER).reshape(L, n)
 
 
 def _epidemic_ragged(

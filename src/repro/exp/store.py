@@ -344,11 +344,13 @@ class ResultStore:
     def append(self, record: TrialRecord, line: Optional[str] = None) -> None:
         """Persist one trial record immediately (line-buffered, flushed).
         ``line`` is the record's ``to_json_line()`` when the caller already
-        has it (a sharded worker serialized the row once)."""
+        has it (a sharded worker serialized the row once); a memory-only
+        store serializes nothing."""
         if record.key in self._keys:
             return
         self._remember(record)
-        self._write_line(record.to_json_line() if line is None else line)
+        if self.path is not None:
+            self._write_line(record.to_json_line() if line is None else line)
 
     def append_stopping(self, record: StoppingRecord) -> None:
         """Persist one stopping decision (idempotent per stopping key)."""

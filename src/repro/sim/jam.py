@@ -158,9 +158,9 @@ class JamBlock:
 
     def lookup_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership for precomputed flat ``slot * C + channel`` keys."""
-        flat = self._keys()
-        if flat.shape[0] == 0:
+        if not self.total():
             return np.zeros(keys.shape, dtype=bool)
+        flat = self._keys()
         idx = np.searchsorted(flat, keys)
         idx_clipped = np.minimum(idx, flat.shape[0] - 1)
         return flat[idx_clipped] == keys
@@ -207,6 +207,8 @@ class JamBlock:
         group = int(group)
         if group <= 0 or self.K % group:
             raise ValueError(f"K={self.K} not divisible by group={group}")
+        if not self.total():
+            return JamBlock.empty(self.K // group, self.C * group)
         rows = np.repeat(np.arange(self.K, dtype=np.int64), self.counts())
         new_channels = (rows % group) * self.C + self.channels
         return JamBlock(self.K // group, self.C * group, self.indptr[::group], new_channels)

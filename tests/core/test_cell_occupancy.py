@@ -178,6 +178,49 @@ def test_shared_coin_kernel_matches_spread_block(slot_scale):
     coverage.check()
 
 
+def test_shared_coin_kernel_matches_spread_block_at_gallery_scale():
+    """One pass shaped like the gallery's: two 4096-row lanes at n = 64 and
+    C = 32 with different p, a few informed nodes and 10% dense jamming.
+    Each lane's cascade informs nodes at many rows of one block, so the
+    multi-event acceptance rules (cell-safe hearings, first volatile
+    listens, the lane-first rule) run at scale, where the small blocks
+    above rarely take them."""
+    n, C, K = 64, 32, 4096
+    rng = np.random.default_rng(1903)
+    lanes = []
+    for p in (1 / 64, 1 / 40):
+        informed = np.zeros(n, dtype=bool)
+        informed[rng.choice(n, size=4, replace=False)] = True
+        informed[0] = True
+        lanes.append(random_lane(
+            rng, n, C, p, K=K, informed=informed,
+            active=np.ones(n, dtype=bool), jam=rng.random((K, C)) < 0.1,
+        ))
+    channels, coins, offsets, p, informed, active, slot0 = stacked(lanes)
+    jam = JamBlock.stack([JamBlock.from_dense(l["jam"]) for l in lanes])
+    got_slot = np.stack([initial_slots(l, n) for l in lanes])
+    listen, send, noise, got_informed = _shared_coin_ragged(
+        channels, coins, jam, offsets, p, informed, active,
+        slot0=slot0, informed_slot=got_slot,
+    )
+    event_rows = []
+    for k, lane in enumerate(lanes):
+        want_slot = initial_slots(lane, n)
+        out = spread_block(
+            lane["channels"], lane["coins"], lane["jam"], lane["informed"],
+            lane["active"], shared_coin_actions(lane["p"]),
+            slot0=lane["slot0"], informed_slot=want_slot,
+        )
+        want_listen, want_send = action_counts(out.actions)
+        assert_equal(listen[k], want_listen, f"lane {k}: listen")
+        assert_equal(send[k], want_send, f"lane {k}: send")
+        assert_equal(noise[k], (out.feedback == FB_NOISE).sum(axis=0), f"lane {k}: noise")
+        assert_equal(got_informed[k], out.informed, f"lane {k}: informed")
+        assert_equal(got_slot[k], want_slot, f"lane {k}: informed_slot")
+        event_rows.append(np.unique(want_slot[~lane["informed"] & (want_slot >= 0)]).size)
+    assert max(event_rows) >= 2, event_rows
+
+
 def adv_lanes(rng, p_choices):
     """Ragged MultiCastAdv lanes with mixed channel counts; about one block
     in four also carries a ``C = 2**12`` lane with few hits."""

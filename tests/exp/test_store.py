@@ -2,7 +2,14 @@
 
 import json
 
-from repro.exp import CampaignSpec, ResultStore, TrialRecord, aggregate, run_trial
+from repro.exp import (
+    CampaignSpec,
+    ResultStore,
+    TrialRecord,
+    aggregate,
+    run_campaign,
+    run_trial,
+)
 
 
 def _record(trial=0, protocol="multicast", success=True, slots=100, max_cost=10):
@@ -55,6 +62,29 @@ class TestResultStore:
         store = ResultStore(None)
         store.append(_record(0))
         assert len(store) == 1
+
+    def test_rows_serialized_only_when_persisted(self, tmp_path, monkeypatch):
+        """A memory-only store never serializes a row; an on-disk one
+        serializes each row once, and writes what the serializer makes."""
+        monkeypatch.setenv("REPRO_ZERO_WALL", "1")
+        serialize = TrialRecord.to_json_line
+        calls = []
+
+        def spy(record):
+            calls.append(record.key)
+            return serialize(record)
+
+        monkeypatch.setattr(TrialRecord, "to_json_line", spy)
+        c = CampaignSpec(protocols=["multicast"], jammers=["random"], ns=[8], trials=20, budget=2000)
+        in_memory = run_campaign(c, workers=1)
+        assert len(in_memory) == 20 and calls == []
+        path = tmp_path / "r.jsonl"
+        with ResultStore(str(path)) as store:
+            run_campaign(c, store, workers=1)
+        assert len(calls) == 20
+        assert sorted(path.read_text().splitlines()) == sorted(
+            serialize(r) for r in in_memory
+        )
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "r.jsonl"

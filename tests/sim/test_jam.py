@@ -70,6 +70,11 @@ class TestLookup:
         jb = JamBlock.empty(3, 5)
         assert not jb.lookup(np.array([0, 2]), np.array([1, 4])).any()
 
+    def test_lookup_keys_empty_builds_no_keys(self):
+        jb = JamBlock.empty(4, 8)
+        assert not jb.lookup_keys(np.arange(32)).any()
+        assert jb._flat_keys is None
+
     def test_lookup_huge_channel_space(self):
         C = 1 << 40
         jb = JamBlock.from_rows(2, C, np.array([0]), [np.array([C - 1, 12345])])
@@ -137,6 +142,11 @@ class TestFoldRows:
         mask = random_mask(rng, K=8, C=5)
         jb = JamBlock.from_dense(mask)
         assert jb.fold_rows(2).total() == jb.total()
+
+    def test_fold_empty_block(self):
+        jb = JamBlock.empty(12, 3).fold_rows(4)
+        assert (jb.K, jb.C, jb.total()) == (3, 12, 0)
+        np.testing.assert_array_equal(jb.indptr, np.zeros(4, dtype=np.int64))
 
     def test_fold_single_group(self, rng):
         mask = random_mask(rng, K=4, C=3)
