@@ -13,13 +13,6 @@ axis.  This module is the DESIGN.md section 9 kernel:
   the hits' cell grouping — the exact fixed point of the scalar tail
   re-resolution in :func:`repro.core.runner.spread_block`, without
   materializing ``(L, K, n)`` action or feedback matrices.
-* :func:`_quiet_send_counts` — step I for *quiet* lanes, whose block-entry
-  statuses leave no active node uninformed (the steady state once
-  dissemination completes).  With no possible listener, channels and
-  jamming change nothing: the block reduces to one send-count
-  ``bincount``, and the driver skips the lane's channel words
-  (:meth:`repro.sim.engine.BatchNetwork.skip_channels_ragged`) instead of
-  drawing them.
 * :func:`_adv_step_two_ragged` — step II (status adjustment).  Statuses are
   frozen for the whole step, so the four counters N_m, N'_m, N_n, N_s are a
   pure function of the draws and the jam mask: one participant extraction,
@@ -28,6 +21,18 @@ axis.  This module is the DESIGN.md section 9 kernel:
   ``bincount`` over (node, outcome) keys for all four counters — the
   sparse analogue of a per-lane ``resolve_block`` + ``count_feedback``
   pass, vectorized across lanes *and* across the R(i, j) slots of the phase.
+* :func:`_dense_counts` — the *quiet* lanes, whose outcome no channel or
+  jam can change: step-I lanes whose block-entry statuses leave no active
+  node uninformed (no possible listener; the steady state once
+  dissemination completes), and *count-only* step-II lanes, where no
+  active node is uninformed, informed or a halt-eligible helper
+  (:func:`repro.core.multicast_adv.counters_read`: no end-of-phase check
+  reads any of their counters).  Such a lane reduces to per-node action
+  counts — sends below ``p`` in step I; listens below ``p`` and sends in
+  ``[p, 2p)`` in step II — from a dense compare and a column count, and
+  the driver skips its channel words
+  (:meth:`repro.sim.engine.BatchNetwork.skip_channels_ragged`) instead of
+  drawing them.
 * :func:`run_adv_stream` — the epoch/phase driver over a
   :class:`repro.core.batch.LaneStream`, mirroring
   :meth:`repro.core.multicast_adv.MultiCastAdv.run` per trial, with the
@@ -44,7 +49,8 @@ block: one ``(K, n)`` channel draw then one ``(K, n)`` coin draw,
 ``K = min(block_slots, remaining)``, from the lane's own generator; a
 quiet lane's skip leaves its generator exactly where the channel draw
 would), same slots, statuses, event slots, energy books, periods and
-extras.
+extras.  A count-only lane's counters stay zero, which no output can
+show: the checks read none of them.
 """
 
 from __future__ import annotations
@@ -60,8 +66,9 @@ from repro.core.multicast_adv import (
     STATUS_IN,
     STATUS_UN,
     apply_phase_checks,
+    counters_read,
 )
-from repro.core.batch import _cell_groups, _hits, _participants
+from repro.core.batch import _cell_groups, _participants
 from repro.core.result import BroadcastResult
 
 __all__ = ["run_adv_stream"]
@@ -176,16 +183,35 @@ def _adv_step_one_ragged(
     return listen_counts, send_counts, informing_row < NEVER
 
 
-def _quiet_send_counts(
-    coins: np.ndarray, offsets: np.ndarray, p: np.ndarray, active: np.ndarray
+def _dense_counts(
+    coins: np.ndarray, offsets: np.ndarray, threshold: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """``(L, n)`` send counts of quiet step-I lanes — lanes with no active
-    uninformed node, where every hit broadcasts ``m``: per active node, the
-    rows of its lane whose coin clears ``p``.  Ragged lane-major ``coins``
-    as in :func:`_adv_step_one_ragged`; no channels needed."""
-    L, n = active.shape
-    _, _, lane, node = _hits(coins, active, p, offsets)
-    return np.bincount(lane * n + node, minlength=L * n).reshape(L, n)
+    """``(L, n)`` per-node counts of the coins of a ragged lane-major block
+    (lane ``l`` owning rows ``offsets[l]:offsets[l+1]``) below their lane's
+    ``threshold``, halted nodes (``~active``) zeroed — the action counts of
+    lanes whose counts are all the kernel needs (quiet step-I and
+    count-only step-II lanes, DESIGN.md section 9.2).
+
+    Each lane is one dense compare and a column count.  A column count
+    over an inner axis only n long is slow (``np.count_nonzero(axis=0)``
+    loses to a sparse ``bincount``), so the compare rows are summed as
+    ``w``-row groups: a uint8 reduction over a ``w * n``-wide inner axis
+    (at most 255 groups, so no byte overflows), then a fold of its ``w``
+    partial rows, plus the tail rows."""
+    n = coins.shape[1]
+    rows = np.diff(offsets)
+    counts = np.zeros((rows.size, n), dtype=np.int64)
+    buf = np.empty((int(rows.max(initial=0)), n), dtype=bool)
+    for l, (a, K, thr) in enumerate(zip(offsets.tolist(), rows.tolist(), threshold.tolist())):
+        hit = np.less(coins[a : a + K], thr, out=buf[:K])
+        w = max(64, -(-K // 255))
+        R = K - K % w
+        if R:
+            wide = hit[:R].reshape(-1, w * n).view(np.uint8)
+            counts[l] = np.add.reduce(wide, axis=0, dtype=np.uint8).reshape(w, n).sum(axis=0)
+        counts[l] += hit[R:].sum(axis=0)
+    counts[~active] = 0
+    return counts
 
 
 def _adv_step_two_ragged(
@@ -250,9 +276,11 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
     step) position and remaining-slot count, every pass merges the occupied
     slots of a step into one ragged kernel call (per-lane row counts, listen
     probabilities *and channel counts* — step partitioning keeps the two
-    kernels' distinct event semantics; a step-I pass resolves its quiet
-    lanes, which have no possible listener, apart and commits them with the
-    rest), and a slot that retires — halted at
+    kernels' distinct event semantics; each pass resolves its quiet lanes
+    apart, from dense coin counts, and commits them with the rest: step-I
+    lanes with no possible listener, and step-II lanes whose counters no
+    end-of-phase check reads, a property fixed for the whole step at its
+    entry), and a slot that retires — halted at
     an epoch boundary, overrun mid-phase, or out of epochs — is refilled
     from the stream's pending queue instead of idling until the batch
     drains.  Lanes retire mid-epoch only on overrun (matching the scalar
@@ -292,6 +320,7 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
     n_mb = np.zeros_like(n_m)
     n_noise = np.zeros_like(n_m)
     n_silence = np.zeros_like(n_m)
+    count_only = np.zeros(W, dtype=bool)  # step II: no check reads a counter
     tel = _obs_active()
 
     def slot_result(slot: int) -> BroadcastResult:
@@ -440,14 +469,18 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                 continue
             Ks = np.minimum(proto.block_slots, remaining[lane_ids])
             Cs = C_arr[lane_ids]
-            # A quiet step-I lane has no active uninformed node at block
-            # entry, hence no listener, so neither its channels nor its
-            # jamming can change an outcome: it skips its channel words and
-            # the cell work (DESIGN.md section 9.2).  The other ("loud")
-            # lanes run the kernel; both commit together below.
-            quiet = np.zeros(lane_ids.size, dtype=bool)
+            p = p_arr[lane_ids]
+            # A quiet lane's outcome cannot depend on its channels or its
+            # jamming: a step-I lane with no active uninformed node has no
+            # listener, and a count-only step-II lane has no counter an
+            # end-of-phase check reads.  It skips its channel words and the
+            # cell work, and its action counts are dense coin counts
+            # (DESIGN.md section 9.2).  The other ("loud") lanes run the
+            # kernel; both commit together below.
             if step_val == 1:
                 quiet = ~(ph_active[lane_ids] & ~ph_informed[lane_ids]).any(axis=1)
+            else:
+                quiet = count_only[lane_ids]
             loud = ~quiet
             loud_ids, quiet_ids = lane_ids[loud], lane_ids[quiet]
             if loud_ids.size:
@@ -467,9 +500,23 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                 )
             if tel is not None:
                 t0 = time.perf_counter()
+            listen_counts = np.zeros((lane_ids.size, n), dtype=np.int64)
+            send_counts = np.zeros_like(listen_counts)
+            if quiet_ids.size:
+                q_offsets = np.concatenate(([0], np.cumsum(Ks[quiet])))
+                q_active = ph_active[quiet_ids]
+                below_p = _dense_counts(quiet_coins, q_offsets, p[quiet], q_active)
+                if step_val == 1:
+                    # every hit broadcasts m
+                    send_counts[quiet] = below_p
+                else:
+                    # a hit listens below p and broadcasts in [p, 2p)
+                    listen_counts[quiet] = below_p
+                    send_counts[quiet] = (
+                        _dense_counts(quiet_coins, q_offsets, 2.0 * p[quiet], q_active)
+                        - below_p
+                    )
             if step_val == 1:
-                listen_counts = np.zeros((lane_ids.size, n), dtype=np.int64)
-                send_counts = np.zeros_like(listen_counts)
                 new_informed = ph_informed[lane_ids]
                 sub_slot = informed_slot[loud_ids]
                 if loud_ids.size:
@@ -482,30 +529,23 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                         coins,
                         jam_keys,
                         offsets,
-                        p_arr[loud_ids],
+                        p[loud],
                         Cmax,
                         ph_informed[loud_ids],
                         ph_active[loud_ids],
                         slot0=bnet.clocks[loud_ids],
                         informed_slot=sub_slot,
                     )
-                if quiet_ids.size:
-                    send_counts[quiet] = _quiet_send_counts(
-                        quiet_coins,
-                        np.concatenate(([0], np.cumsum(Ks[quiet]))),
-                        p_arr[quiet_ids],
-                        ph_active[quiet_ids],
-                    )
-            else:
-                listen_counts, send_counts, counters = _adv_step_two_ragged(
+            elif loud_ids.size:
+                listen_counts[loud], send_counts[loud], counters = _adv_step_two_ragged(
                     channels,
                     coins,
                     jam_keys,
                     offsets,
-                    p_arr[lane_ids],
+                    p[loud],
                     Cmax,
-                    ph_informed[lane_ids],
-                    ph_active[lane_ids],
+                    ph_informed[loud_ids],
+                    ph_active[loud_ids],
                 )
             if tel is not None:
                 tel.add_time("adv_batch.kernel_s", time.perf_counter() - t0)
@@ -513,7 +553,12 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                 tel.observe("adv_batch.occupancy", int(lane_ids.size))
                 tel.count("adv_batch.lane_passes", int(lane_ids.size))
                 if quiet_ids.size:
-                    tel.count("adv_batch.quiet_lane_blocks", int(quiet_ids.size))
+                    tel.count(
+                        "adv_batch.quiet_lane_blocks"
+                        if step_val == 1
+                        else "adv_batch.quiet_step2_lane_blocks",
+                        int(quiet_ids.size),
+                    )
                 if lane_ids.size == 1 and W > 1:
                     tel.count("adv_batch.solo_slots", int(Ks[0]))
             overrun = bnet.commit_counts_ragged(lane_ids, listen_counts, send_counts, Ks)
@@ -532,6 +577,17 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                     s = status[done]
                     s[(s == STATUS_UN) & ph_informed[done]] = STATUS_IN
                     st[done] = s
+                    # statuses, î, ĵ, i and j hold for the whole step, so
+                    # one mask decides every step-II block of the phase
+                    count_only[done] = ~counters_read(
+                        proto,
+                        epoch_i[done][:, None],
+                        j_arr[done][:, None],
+                        active=ph_active[done],
+                        status=s,
+                        helper_epoch=helper_epoch[done],
+                        helper_phase=helper_phase[done],
+                    ).any(axis=1)
                     n_m[done] = 0
                     n_mb[done] = 0
                     n_noise[done] = 0
@@ -539,10 +595,14 @@ def run_adv_stream(proto, stream) -> List[BroadcastResult]:
                     step[done] = 2
                     remaining[done] = R_arr[done]
             else:
-                n_m[live] += counters["msg"][keep]
-                n_mb[live] += counters["msg_or_beacon"][keep]
-                n_noise[live] += counters["noise"][keep]
-                n_silence[live] += counters["silence"][keep]
+                if loud_ids.size:
+                    # count-only lanes' counters stay zero: no check reads them
+                    kept = keep[loud]
+                    counted = loud_ids[kept]
+                    n_m[counted] += counters["msg"][kept]
+                    n_mb[counted] += counters["msg_or_beacon"][kept]
+                    n_noise[counted] += counters["noise"][kept]
+                    n_silence[counted] += counters["silence"][kept]
                 done = live[remaining[live] == 0]
                 if done.size:
                     end_phases(done)

@@ -63,6 +63,7 @@ __all__ = [
     "STATUS_HELPER",
     "STATUS_HALT",
     "apply_phase_checks",
+    "counters_read",
 ]
 
 # Node statuses (paper: un / in / helper / halt).
@@ -70,6 +71,33 @@ STATUS_UN = np.int8(0)
 STATUS_IN = np.int8(1)
 STATUS_HELPER = np.int8(2)
 STATUS_HALT = np.int8(3)
+
+
+def _halt_eligible(proto, i, j, status, helper_epoch, helper_phase):
+    """Line 23's status part: helpers that have waited ``i - î >=
+    helper_wait`` epochs and sit at their own phase ``ĵ == j`` — the only
+    helpers whose N_n a check reads.  The one implementation, shared by
+    :func:`apply_phase_checks` and :func:`counters_read`."""
+    return (
+        (status == STATUS_HELPER)
+        & (i - helper_epoch >= proto.helper_wait)
+        & (helper_phase == j)
+    )
+
+
+def counters_read(proto, i, j, *, active, status, helper_epoch, helper_phase):
+    """The nodes whose N_m / N'_m / N_n / N_s :func:`apply_phase_checks`
+    can read, given the statuses step II freezes: active nodes that are
+    uninformed (line 21), informed (line 22) or halt-eligible helpers
+    (line 23).  A helper promoted at this phase's end is informed now, so
+    it is already in the mask.  Same shapes as :func:`apply_phase_checks`;
+    the lane-batched runner skips the cell work of step-II lanes where
+    this mask is empty (DESIGN.md section 9.2)."""
+    return active & (
+        (status == STATUS_UN)
+        | (status == STATUS_IN)
+        | _halt_eligible(proto, i, j, status, helper_epoch, helper_phase)
+    )
 
 
 def apply_phase_checks(
@@ -151,9 +179,7 @@ def apply_phase_checks(
     # the wait (i - i = 0), matching the sequential pseudocode.
     halt_cond = (
         active
-        & (status == STATUS_HELPER)
-        & (i_full - helper_epoch >= proto.helper_wait)
-        & (helper_phase == j_full)
+        & _halt_eligible(proto, i_full, j_full, status, helper_epoch, helper_phase)
         & (n_noise <= rp / proto.halt_noise_divisor)
     )
     status[halt_cond] = STATUS_HALT

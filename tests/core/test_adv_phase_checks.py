@@ -18,9 +18,15 @@ integers, on all three implementations:
 A stub protocol pins ``R = 40, p = 0.5`` so every threshold is an exact
 binary float: 1.5Rp² = 15, 0.9Rp = 18, 2.2Rp² = 22, and Rp/D = 5 with
 D = 4.
+
+The last test pins :func:`repro.core.multicast_adv.counters_read`, the mask
+by which the lane-batched runner leaves a step-II lane's counters at zero
+(no check reads any of them): counters outside the mask never change an
+output, and the checks agree with the reference node at the wait boundary.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +37,7 @@ from repro.core.multicast_adv import (
     STATUS_UN,
     MultiCastAdv,
     apply_phase_checks,
+    counters_read,
 )
 from repro.core.reference import ScalarMultiCastAdvNode
 from repro.sim.rng import RandomFabric
@@ -262,3 +269,108 @@ def test_all_paths_agree_near_the_boundaries(
     )
     assert scalar == batched
     assert node == scalar[0]
+
+
+# -- the count-only mask ----------------------------------------------------------
+
+COUNTER_CEILS = {  # each counter drawn in [0, 2 x its threshold]
+    "n_m": 2 * HELPER_MSG,
+    "n_mb": 2 * BEACON_CEIL,
+    "n_noise": 2 * HALT_NOISE,
+    "n_silence": 2 * HELPER_SILENCE,
+}
+
+
+def random_phase_end(rng, proto):
+    """An ``(L, n)`` end-of-phase scenario of random statuses: per lane an
+    (i, j) position, per helper (or halted node) an î that lies
+    ``floor(helper_wait) - 1 .. ceil(helper_wait) + 1`` epochs back (so
+    ``i - î == helper_wait`` exactly whenever the wait is whole) and a ĵ
+    that matches j or not, and counters on both sides of every
+    threshold."""
+    L, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    wait = proto.helper_wait
+    j = rng.integers(0, PHASE + 1, size=(L, 1))
+    i = j + int(np.ceil(wait)) + 2 + rng.integers(0, 3, size=(L, 1))
+    status = rng.choice(
+        np.array([STATUS_UN, STATUS_IN, STATUS_HELPER, STATUS_HALT]), size=(L, n)
+    )
+    ago = np.clip(np.floor(wait) + rng.integers(-1, 3, size=(L, n)), 0, None)
+    was_helper = status >= STATUS_HELPER
+    state = dict(
+        status=status,
+        informed_slot=rng.integers(-1, 100, size=(L, n)),
+        halt_slot=np.where(status == STATUS_HALT, rng.integers(0, 100, size=(L, n)), -1),
+        helper_epoch=np.where(was_helper, i - ago.astype(np.int64), -1),
+        helper_phase=np.where(was_helper, j - rng.integers(0, 2, size=(L, n)), -1),
+    )
+    counters = {k: rng.integers(0, hi + 1, size=(L, n)) for k, hi in COUNTER_CEILS.items()}
+    clock = rng.integers(1000, 2000, size=(L, 1))
+    return i, j, state, counters, clock
+
+
+def checked(proto, i, j, state, counters, clock):
+    """Every output of ``apply_phase_checks`` on copies of ``state``."""
+    out = {k: np.array(v) for k, v in state.items()}
+    conds = apply_phase_checks(
+        proto, i, j, active=state["status"] != STATUS_HALT, clock=clock,
+        **counters, **out,
+    )
+    return out, conds
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("helper_wait", [2.0, 2 / 0.24, 0.0])
+def test_counters_outside_the_read_mask_are_never_read(helper_wait, capped):
+    """Seeded property: replacing every counter of the nodes outside
+    ``counters_read`` — by zeros and by fresh random values — leaves every
+    output of ``apply_phase_checks`` unchanged, and each node's resulting
+    status is the reference node's.  The latter pins the inclusive wait
+    ``i - î >= helper_wait`` that the mask shares with the checks."""
+    kw = dict(helper_wait=helper_wait)
+    proto = StubProto(channel_cap=2 ** PHASE, **kw) if capped else StubProto(**kw)
+    rng = np.random.default_rng(2400 + int(8 * helper_wait) + capped)
+    exact_wait_halts = masked_out = 0
+    for case in range(60):
+        i, j, state, counters, clock = random_phase_end(rng, proto)
+        reads = counters_read(
+            proto, i, j,
+            active=state["status"] != STATUS_HALT,
+            status=state["status"],
+            helper_epoch=state["helper_epoch"],
+            helper_phase=state["helper_phase"],
+        )
+        masked_out += int((~reads).sum())
+        want, want_conds = checked(proto, i, j, state, counters, clock)
+        for fill in ("zeros", "random"):
+            other = {
+                k: np.where(
+                    reads, v, 0 if fill == "zeros" else rng.integers(0, COUNTER_CEILS[k] + 1, v.shape)
+                )
+                for k, v in counters.items()
+            }
+            got, got_conds = checked(proto, i, j, state, other, clock)
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k], err_msg=f"case {case} {fill}: {k}")
+            for g, w in zip(got_conds, want_conds):
+                np.testing.assert_array_equal(g, w, err_msg=f"case {case} {fill}: conds")
+        for l, k in np.ndindex(reads.shape):
+            hep = int(state["helper_epoch"][l, k])
+            node = run_node_checks(
+                proto,
+                int(state["status"][l, k]),
+                *(int(counters[c][l, k]) for c in COUNTER_CEILS),
+                helper_epoch=hep,
+                helper_phase=int(state["helper_phase"][l, k]),
+                i=int(i[l, 0]),
+                j=int(j[l, 0]),
+            )
+            assert node == want["status"][l, k], (case, l, k)
+            exact_wait_halts += bool(
+                state["status"][l, k] == STATUS_HELPER
+                and i[l, 0] - hep == helper_wait
+                and node == STATUS_HALT
+            )
+    assert masked_out > 0
+    if helper_wait == int(helper_wait):
+        assert exact_wait_halts > 0

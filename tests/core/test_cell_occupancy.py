@@ -13,9 +13,11 @@ step-II counters.
 
 The randomized blocks are checked to reach listened cells with 0, 1, 2 and
 3+ senders, jammed listened cells and halted nodes with hits.  The last
-tests run whole ``adv_c`` streams, so that passes mixing quiet step-I lanes
-(no active uninformed node: no channel words, no cell work) with loud ones
-are pinned to the scalar engine.
+tests pin the dense coin counts of quiet lanes against the sparse hits, and
+run whole ``adv_c`` streams, so that passes mixing quiet step-I lanes (no
+active uninformed node: no channel words, no cell work) or count-only
+step-II lanes (no counter an end-of-phase check reads) with loud ones are
+pinned to the scalar engine.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ from repro.core.adv_batch import (
     _adv_step_two_ragged,
     _ragged_jam_keys,
 )
-from repro.core.batch import _shared_coin_ragged, run_broadcast_stream
+from repro.core.batch import _hits, _shared_coin_ragged, run_broadcast_stream
 from repro.core.runner import (
     adv_step_one_actions,
     adv_step_two_actions,
@@ -314,7 +316,39 @@ def test_step_two_beacon_and_message_share_a_cell():
     assert counters["msg_or_beacon"].sum() == 0
 
 
-# -- quiet step-I lanes in whole streams ----------------------------------------
+# -- quiet and count-only lanes ------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
+def test_dense_counts_match_sparse_hits(n):
+    """``_dense_counts`` against ``_hits`` + ``bincount`` on one ragged block
+    holding a lane for every (row count, threshold) pair, with all-halted,
+    all-active and mixed lanes in rotation — plus, at n = 4, a lane longer
+    than 255 x 64 rows at threshold 1, where a byte-wide group sum would
+    overflow without its group-width guard."""
+    rng = np.random.default_rng(2400 + n)
+    shapes = [
+        (K, thr) for K in (1, 63, 64, 65, 8192) for thr in (0.0, 1 / 64, 0.5, 1.0)
+    ]
+    if n == 4:
+        shapes.append((40_000, 1.0))
+    order = rng.permutation(len(shapes))
+    Ks = np.array([shapes[k][0] for k in order])
+    threshold = np.array([shapes[k][1] for k in order])
+    offsets = np.concatenate(([0], np.cumsum(Ks)))
+    coins = rng.random((int(offsets[-1]), n))
+    kinds = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), None]
+    active = np.stack([
+        rng.random(n) < 0.5 if kinds[l % 3] is None else kinds[l % 3]
+        for l in range(Ks.size)
+    ])
+    active[(threshold == 1.0) & (Ks >= 8192)] = True
+    _, _, lane, node = _hits(coins, active, threshold, offsets)
+    want = np.bincount(lane * n + node, minlength=Ks.size * n).reshape(-1, n)
+    got = adv_batch._dense_counts(coins, offsets, threshold, active)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert want.max() == Ks.max()  # the longest lanes' full columns counted
+
 
 N = 8
 ADV_FAST = dict(
@@ -332,13 +366,16 @@ def adv_c_trials(jammer):
     return protocol, jammers
 
 
-def test_mixed_quiet_and_loud_passes_match_scalar(monkeypatch):
-    """A width-3 jammed ``adv_c`` stream whose passes mix quiet and loud
-    step-I lanes reproduces every trial's scalar ``run_broadcast`` result.
-    Quiet lane-blocks skip their channel words and nothing else: every
-    block's channels are drawn or skipped, and every block draws coins."""
-    passes = []  # per pass: the step-I resolutions that ran
-    rows = {}  # block rows drawn (or skipped) per BatchNetwork draw method
+def instrumented_stream(monkeypatch, tags):
+    """Run the width-3 jammed ``adv_c`` stream with each kernel named in
+    ``tags`` (name -> tag) recording its tag into the current pass.
+
+    Returns ``(results, passes, rows, counters)``: per pass (one per
+    ``draw_jamming_ragged`` call) the set of tags that ran, the block rows
+    drawn (or skipped) per ``BatchNetwork`` draw method, and the telemetry
+    counters."""
+    passes = []
+    rows = {}
 
     def counting(method):
         def wrapped(self, lane_ids, block_rows, *args):
@@ -361,12 +398,8 @@ def test_mixed_quiet_and_loud_passes_match_scalar(monkeypatch):
         BatchNetwork.draw_jamming_ragged,
     ):
         monkeypatch.setattr(BatchNetwork, method.__name__, counting(method))
-    monkeypatch.setattr(
-        adv_batch, "_adv_step_one_ragged", tagged("loud", adv_batch._adv_step_one_ragged)
-    )
-    monkeypatch.setattr(
-        adv_batch, "_quiet_send_counts", tagged("quiet", adv_batch._quiet_send_counts)
-    )
+    for name, tag in tags.items():
+        monkeypatch.setattr(adv_batch, name, tagged(tag, getattr(adv_batch, name)))
 
     protocol, jammers = adv_c_trials("blanket")
     with collect_telemetry() as tel:
@@ -374,19 +407,48 @@ def test_mixed_quiet_and_loud_passes_match_scalar(monkeypatch):
             protocol, N, jammers, SEEDS, max_slots=np.asarray(CAPS), lane_width=3
         )
         counters = tel.take_aggregates()["counters"]
-    assert counters["adv_batch.quiet_lane_blocks"] > 0
-    assert {"loud", "quiet"} in passes, "no pass mixed quiet and loud lanes"
+    return got, passes, rows, counters
+
+
+def assert_streams_exactly(got, rows):
+    """Every block's channels drawn or skipped once, every block's coins and
+    jamming drawn once, and every trial equal to scalar ``run_broadcast``."""
     assert rows["skip_channels_ragged"] > 0
     assert (
         rows["draw_channels_ragged"] + rows["skip_channels_ragged"]
         == rows["draw_coins_ragged"]
         == rows["draw_jamming_ragged"]
     )
-
     protocol, jammers = adv_c_trials("blanket")
     for t, (seed, cap) in enumerate(zip(SEEDS, CAPS)):
         want = run_broadcast(protocol, N, jammers[t], seed=seed, max_slots=cap)
         assert_same_result(got[t], want, f"trial {t}")
+
+
+def test_mixed_quiet_and_loud_passes_match_scalar(monkeypatch):
+    """A width-3 jammed ``adv_c`` stream whose passes mix quiet and loud
+    step-I lanes reproduces every trial's scalar ``run_broadcast`` result.
+    Quiet lane-blocks skip their channel words and nothing else: every
+    block's channels are drawn or skipped, and every block draws coins."""
+    got, passes, rows, counters = instrumented_stream(
+        monkeypatch, {"_adv_step_one_ragged": "loud", "_dense_counts": "quiet"}
+    )
+    assert counters["adv_batch.quiet_lane_blocks"] > 0
+    assert {"loud", "quiet"} in passes, "no pass mixed quiet and loud lanes"
+    assert_streams_exactly(got, rows)
+
+
+def test_mixed_count_only_and_loud_step_two_passes_match_scalar(monkeypatch):
+    """The same stream's step-II passes mix count-only lanes (no active node
+    uninformed, informed or halt-eligible: dense coin counts, no channel
+    words, no cell work) with loud ones, and every trial still equals its
+    scalar ``run_broadcast`` result."""
+    got, passes, rows, counters = instrumented_stream(
+        monkeypatch, {"_adv_step_two_ragged": "loud", "_dense_counts": "count-only"}
+    )
+    assert counters["adv_batch.quiet_step2_lane_blocks"] > 0
+    assert {"loud", "count-only"} in passes, "no step-II pass mixed count-only and loud lanes"
+    assert_streams_exactly(got, rows)
 
 
 def assert_same_result(got, want, context):
