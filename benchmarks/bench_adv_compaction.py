@@ -21,6 +21,10 @@ batch.  The workload runs the protocol in its small-phase regime
 pass count is the bill: the stream covers the same trials in ~5x fewer
 kernel passes.
 
+Each driver is timed ``ROUNDS`` times, alternating which runs first, and
+the record keeps each side's best time and its spread (slowest / best):
+one run per side read anywhere from 1.89x to 2.47x on one 2-vCPU host.
+
 The committed ``benchmarks/BENCH_adv_compaction.json`` records the
 acceptance figures: **>= 1.5x** end-to-end on this workload, the straggler
 telemetry (``adv_batch.solo_slots`` — slots simulated with the batch
@@ -65,6 +69,8 @@ STREAM_WIDTH = MultiCastAdv(**KNOBS).stream_lane_width
 #: staggered-exit stripe: 7 budget-truncated trials + 1 full run per eight
 SHORT_CAP = 1_000
 LONG_CAP = 400_000_000
+#: timed runs per driver, alternating which driver goes first
+ROUNDS = 3
 
 
 def _workload(trials):
@@ -125,8 +131,18 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
         return rows, wall, counters
 
     def experiment():
-        fixed_rows, fixed_s, fixed_c = timed(run_fixed)
-        stream_rows, stream_s, stream_c = timed(run_stream)
+        fixed_walls, stream_walls = [], []
+        for r in range(ROUNDS):
+            order = (run_fixed, run_stream) if r % 2 == 0 else (run_stream, run_fixed)
+            for fn in order:
+                rows, wall, counters = timed(fn)
+                if fn is run_fixed:
+                    fixed_rows, fixed_c = rows, counters
+                    fixed_walls.append(wall)
+                else:
+                    stream_rows, stream_c = rows, counters
+                    stream_walls.append(wall)
+        fixed_s, stream_s = min(fixed_walls), min(stream_walls)
         _assert_bit_identical(stream_rows, fixed_rows)
         assert stream_c["adv_batch.lanes"] == trials
         lane = stream_c["adv_batch.lane_passes"]
@@ -135,6 +151,8 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
             "fixed_s": round(fixed_s, 3),
             "stream_s": round(stream_s, 3),
             "speedup": round(fixed_s / stream_s, 2),
+            "fixed_spread": round(max(fixed_walls) / fixed_s, 2),
+            "stream_spread": round(max(stream_walls) / stream_s, 2),
             "fixed_passes": int(fixed_c["adv_batch.kernel_passes"]),
             "stream_passes": int(stream_c["adv_batch.kernel_passes"]),
             "fixed_solo_slots": int(fixed_c.get("adv_batch.solo_slots", 0)),
@@ -145,18 +163,18 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
         print()
         print(
             render_table(
-                ["driver", "wall (s)", "kernel passes", "solo slots", "occupancy"],
+                ["driver", "best wall (s) (slowest/best)", "kernel passes", "solo slots", "occupancy"],
                 [
                     [
                         f"fixed blocks (w={FIXED_WIDTH})",
-                        f"{fixed_s:.2f}",
+                        f"{fixed_s:.2f} (x{figures['fixed_spread']:.2f})",
                         f"{figures['fixed_passes']:,}",
                         f"{figures['fixed_solo_slots']:,}",
                         "-",
                     ],
                     [
                         f"lane stream (w={STREAM_WIDTH})",
-                        f"{stream_s:.2f}",
+                        f"{stream_s:.2f} (x{figures['stream_spread']:.2f})",
                         f"{figures['stream_passes']:,}",
                         f"{figures['stream_solo_slots']:,}",
                         f"{figures['stream_occupancy_fraction']:.0%}",
@@ -164,8 +182,8 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
                 ],
                 title=(
                     f"EXP-ADV-COMPACTION  stream vs fixed MultiCastAdv "
-                    f"(n={N}, k={trials}, 7-short/1-long stripes, "
-                    f"speedup {figures['speedup']:.2f}x)"
+                    f"(n={N}, k={trials}, 7-short/1-long stripes, best of "
+                    f"{ROUNDS} each, speedup {figures['speedup']:.2f}x)"
                 ),
             )
         )
@@ -184,6 +202,7 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
             "short_cap": SHORT_CAP,
             "long_cap": LONG_CAP,
             "knobs": KNOBS,
+            "rounds": ROUNDS,
         },
     )
     entry = bench_json.record_speedup(
@@ -191,6 +210,8 @@ def test_compaction_beats_fixed_blocks_on_staggered_exits(benchmark, bench_json)
         baseline_s=figures["fixed_s"],
         fast_s=figures["stream_s"],
         floor=1.2,  # loose CI floor; the committed baseline records >= 1.5x
+        fixed_spread=figures["fixed_spread"],
+        stream_spread=figures["stream_spread"],
         fixed_passes=figures["fixed_passes"],
         stream_passes=figures["stream_passes"],
         fixed_solo_slots=figures["fixed_solo_slots"],

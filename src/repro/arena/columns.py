@@ -57,21 +57,25 @@ from repro.core.multicast_core import MultiCastCore
 from repro.core.reference import DRAW_CHUNK
 from repro.core.result import BroadcastResult
 from repro.sim.channel import (
+    ACT_IDLE,
     ACT_LISTEN,
     ACT_SEND_BEACON,
     ACT_SEND_MSG,
     FB_BEACON,
     FB_MSG,
     FB_NOISE,
+    FB_NONE,
     FB_SILENCE,
 )
-from repro.sim.rng import RandomFabric, bounded_integers
+from repro.sim.rng import RandomFabric, bounded_integer_rows, bounded_integers
 
 #: shared empty event list for the all-informed absorb short-circuit
 _NO_EVENTS = np.empty(0, dtype=np.int64)
-#: coin code of a halted node's chunk row in the Figs. 1/2 adapters: neither
-#: listen (0) nor send candidate (1), so the participant scan skips it
-_HALTED_COIN = 2
+
+#: A window's participants, in (row, node) order: ``(W, rows, nodes, acts,
+#: channels)`` with ``rows`` in ``[0, W)`` (see
+#: :meth:`ColumnProtocol.begin_window`).
+Window = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = [
     "ColumnProtocol",
@@ -98,10 +102,16 @@ class ColumnProtocol(ABC):
     <repro.arena.network.ArenaNetwork.step>`: ``end_slot`` may receive
     ``None`` instead of a feedback column when nobody listened (all
     ``FB_NONE``), and a non-``None`` column is a scratch buffer only valid
-    until the next step.  Adapters precompute chunk-sized *action matrices*
-    and re-derive only the affected rows when a status changes (the same
-    draws-are-status-independent property :func:`repro.core.runner.spread_block`
-    exploits), so ``begin_slot`` is just two row slices.
+    until the next step.  Adapters precompute their draws a chunk, block or
+    round at a time and re-derive only the affected entries when a status
+    changes (the same draws-are-status-independent property
+    :func:`repro.core.runner.spread_block` exploits).
+
+    Windows cross the interface as *participant lists*: only the nodes
+    that act in a slot appear, never a dense ``(W, n)`` matrix.  The
+    Figs. 1/2 adapters hold their chunks in that form; adapters that keep
+    dense window matrices cross through :meth:`_participants` and
+    :meth:`_densify`.
     """
 
     n: int
@@ -119,11 +129,10 @@ class ColumnProtocol(ABC):
 
         The two booleans are the presence hints :meth:`ArenaNetwork.step
         <repro.arena.network.ArenaNetwork.step>` accepts — adapters read
-        them off per-chunk slot summaries instead of re-reducing the
-        action column every slot.  They may be conservatively True (after a
-        status change the summaries are only widened), never falsely False;
-        ``None`` defers the reduction to the kernel (used by the Fig. 4
-        adapter, which has no precomputed chunks).
+        them off their precomputed draws instead of re-reducing the action
+        column every slot.  They may be conservatively True, never falsely
+        False; ``None`` defers the reduction to the kernel (used by the
+        Fig. 4 adapter, which has no precomputed chunks).
         """
 
     @abstractmethod
@@ -132,33 +141,58 @@ class ColumnProtocol(ABC):
 
     # -- window interface (block-stepped driver) --------------------------------
     @abstractmethod
-    def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(channels, actions)`` matrices for up to ``limit`` slots.
+    def begin_window(self, slot: int, limit: int) -> Window:
+        """Return the participants of up to ``limit`` slots:
+        ``(W, rows, nodes, acts, channels)``.
 
-        The returned matrices are ``(W, n)`` with ``1 <= W <= limit``; the
-        adapter clips ``W`` to its own schedule boundaries (chunk / step /
-        round / block ends) so no draw block ever straddles a boundary and
-        window-sized RNG consumption equals per-slot consumption (the
-        ``PeriodDraws`` discipline, extended to windows).  Channels beyond
-        row ``W - 1`` of a caller's budget are simply not served — the
-        driver re-windows.  Actions in the matrix are *speculative*: they
+        ``1 <= W <= limit``; the adapter clips ``W`` to its own schedule
+        boundaries (chunk / step / round / block ends) so no draw block
+        ever straddles a boundary and window-sized RNG consumption equals
+        per-slot consumption (the ``PeriodDraws`` discipline, extended to
+        windows).  The four arrays list every acting node of the window in
+        (row, node) order: its row in ``[0, W)``, node, ``ACT_*`` code
+        (never ``ACT_IDLE``) and channel.  Actions are *speculative*: they
         assume no informing event inside the window.  The driver resolves
-        the whole window, hands the feedback to :meth:`absorb_window`, and
-        the adapter commits only the prefix up to (and including) the first
-        action-changing event."""
+        the whole window, hands the listeners' feedback to
+        :meth:`absorb_window`, and the adapter commits only the prefix up
+        to (and including) the first action-changing event."""
 
     @abstractmethod
-    def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
-        """Absorb a prefix of the window's ``(W, n)`` feedback.
+    def absorb_window(
+        self, slot: int, W: int, rows: np.ndarray, nodes: np.ndarray,
+        feedback: np.ndarray,
+    ) -> int:
+        """Absorb a prefix of the window's listener feedback.
 
-        Returns ``A``, the number of slots committed (``1 <= A <= W``): all
-        of ``W`` when no action-changing event occurred, else through the
-        first event (the event row itself is committed — its feedback was
-        computed from actions fixed before the event).  Rows past ``A`` are
-        discarded; the driver re-serves them (with patched actions) in the
-        next window.  Committing must be state-identical to ``A`` per-slot
+        ``rows``/``nodes`` are the window's listeners in (row, node) order
+        (the ``ACT_LISTEN`` entries :meth:`begin_window` served) and
+        ``feedback`` their ``FB_*`` codes.  Returns ``A``, the number of
+        slots committed (``1 <= A <= W``): all of ``W`` when no
+        action-changing event occurred, else through the first event (the
+        event row itself is committed — its feedback was computed from
+        actions fixed before the event).  Rows past ``A`` are discarded; the
+        driver re-serves them (with patched actions) in the next window.
+        Committing must be state-identical to ``A`` per-slot
         ``begin_slot``/``end_slot`` rounds, including boundary bookkeeping
         when the committed prefix ends an iteration/step/round/block."""
+
+    # -- dense adapters: the two conversions across the window interface --------
+    def _participants(self, channels: np.ndarray, actions: np.ndarray) -> Window:
+        """Serve dense ``(W, n)`` window matrices as participants: one
+        boolean scan, a divmod by ``n`` and two gathers."""
+        rows, nodes = np.divmod(np.flatnonzero(actions != ACT_IDLE), self.n)
+        return (
+            actions.shape[0], rows, nodes, actions[rows, nodes], channels[rows, nodes]
+        )
+
+    def _densify(
+        self, W: int, rows: np.ndarray, nodes: np.ndarray, feedback: np.ndarray
+    ) -> np.ndarray:
+        """Listener feedback as the dense ``(W, n)`` matrix (``FB_NONE``
+        wherever nobody listened) the dense adapters absorb."""
+        dense = np.full((W, self.n), FB_NONE, dtype=np.int8)
+        dense[rows, nodes] = feedback
+        return dense
 
     @property
     @abstractmethod
@@ -178,9 +212,8 @@ class _SharedCoinColumns(ColumnProtocol):
     coins (1 = listen; 2 = broadcast if informed), iteration-boundary halting
     on a noisy-slot threshold.  Subclasses define the iteration schedule.
 
-    Each ``DRAW_CHUNK`` chunk is served as row-major ``(k, n)`` channel and
-    action arrays built from the chunk's participants only (see
-    :meth:`_load_chunk`), so windows are contiguous row slices."""
+    Each ``DRAW_CHUNK`` chunk is held as its participants only, row-sorted
+    (see :meth:`_load_chunk`), so a window is a ``searchsorted`` slice."""
 
     emits_beacons = False
 
@@ -216,73 +249,75 @@ class _SharedCoinColumns(ColumnProtocol):
     def _start_period(self) -> None:
         self.R, self.coin_high, self.threshold = self._period_params()
         self._chunk_base = 0
+        self._k = 0
         self._local = 0
         self._load_chunk()
 
     def _load_chunk(self) -> None:
-        """Draw the next chunk of every live node's stream and lay it out as
-        row-major ``(k, n)`` channel and action arrays.
+        """Draw the next chunk of every live node's stream and keep only its
+        participants, as row-sorted 1-D arrays.
 
-        Each live node fills its own row of two node-major int32 arrays,
-        channels then coins (the ``PeriodDraws`` order; int32 takes the same
-        words as the reference's int64 draw).  The reference's coin in
-        ``[1, coin_high]`` is a draw in ``[0, coin_high)`` plus one, so draw
-        0 means listen and draw 1 means send if informed; halted rows hold
-        ``_HALTED_COIN``.  One boolean scan finds the participants, and only
-        they are scattered into the row-major arrays the window kernel reads.
+        Each live node fills its own channel row and then its coin row with
+        one :func:`~repro.sim.rng.bounded_integer_rows` call (the
+        ``PeriodDraws`` order; int32 takes the same words as the reference's
+        int64 draws).  The reference's coin in ``[1, coin_high]`` is a draw
+        in ``[0, coin_high)`` plus one, so draw 0 means listen and draw 1
+        means send if informed.  One scan for ``coin < 2`` finds the
+        participants in node-major order, and a stable argsort of their
+        int16 rows (numpy's radix sort) puts them in (row, node) order.  An
+        uninformed node's send coins are kept as ``ACT_IDLE`` codes until
+        :meth:`_promote` turns them into sends.
         """
+        self._chunk_base += self._k
+        self._local = 0
         n = self.n
-        k = min(DRAW_CHUNK, self.R - self._chunk_base)
-        ch = np.empty((n, k), dtype=np.int32)
-        coin = np.empty((n, k), dtype=np.int32)
-        for u in np.flatnonzero(~self.halted):
-            rng = self.rngs[u]
-            bounded_integers(rng, n // 2, ch[u])
-            bounded_integers(rng, self.coin_high, coin[u])
-        coin[self.halted] = _HALTED_COIN
-        flat = np.flatnonzero(coin < 2)
-        u, t = np.divmod(flat, k)
-        pos = t * n + u
-        send = coin.ravel()[flat] == 1
-        listen = ~send
-        live_send = send & self.informed[u]
-        self._ch = np.zeros((k, n), dtype=np.int32)
-        self._ch.ravel()[pos] = ch.ravel()[flat]
-        self._act = np.zeros((k, n), dtype=np.int8)
-        act = self._act.ravel()
-        act[pos[listen]] = ACT_LISTEN
-        act[pos[live_send]] = ACT_SEND_MSG
-        self._listen_rows = np.zeros(k, dtype=bool)
-        self._listen_rows[t[listen]] = True
-        self._send_rows = np.zeros(k, dtype=bool)
-        self._send_rows[t[live_send]] = True
-        # uninformed nodes' send candidates, node-major: _promote's list
-        cand = send & ~live_send
-        self._cand_u = u[cand]
-        self._cand_t = t[cand]
+        k = self._k = min(DRAW_CHUNK, self.R - self._chunk_base)
+        live = np.flatnonzero(~self.halted)
+        draws = np.empty((live.size, 2, k), dtype=np.int32)
+        highs = (n // 2, self.coin_high)
+        rngs = self.rngs
+        for i, u in enumerate(live.tolist()):
+            bounded_integer_rows(rngs[u], highs, draws[i])
+        idx, t = np.divmod(np.flatnonzero(draws[:, 1] < 2), k)
+        order = np.argsort(t.astype(np.int16), kind="stable")
+        idx, t = idx[order], t[order]
+        nodes = live[idx]
+        self._rows = t
+        self._nodes = nodes
+        words = draws.ravel()
+        at = idx * (2 * k) + t  # each participant's channel word
+        self._chans = words[at]
+        send = words[at + k] == 1
+        acts = np.where(send, ACT_SEND_MSG, ACT_LISTEN)
+        acts[send & ~self.informed[nodes]] = ACT_IDLE
+        self._acts = acts
+        # positions of the idle codes: uninformed nodes' send coins
+        self._cand = np.flatnonzero(acts == ACT_IDLE)
 
     def _promote(self, heard: np.ndarray, lo: int) -> None:
-        """Newly informed nodes (``heard``) send at their candidate rows
-        from chunk row ``lo`` on."""
-        sel = heard[self._cand_u] & (self._cand_t >= lo)
-        t = self._cand_t[sel]
-        self._act[t, self._cand_u[sel]] = ACT_SEND_MSG
-        self._send_rows[t] = True
+        """Newly informed nodes (``heard``) send at their send coins from
+        chunk row ``lo`` on; their earlier idle codes are never served
+        again, so all of them leave the candidate list."""
+        cand = self._cand
+        mine = heard[self._nodes[cand]]
+        flip = cand[mine & (self._rows[cand] >= lo)]
+        self._acts[flip] = ACT_SEND_MSG
+        self._cand = cand[~mine]
 
     def current_channels(self) -> int:
         return self.n // 2
 
     def begin_slot(self, slot: int) -> Tuple[np.ndarray, np.ndarray, bool, bool]:
-        if self._local == self._act.shape[0]:
-            self._chunk_base += self._act.shape[0]
-            self._local = 0
-            self._load_chunk()
-        local = self._local
+        _, _, nodes, acts, chans = self.begin_window(slot, 1)
+        channels = np.zeros(self.n, dtype=np.int32)
+        actions = np.zeros(self.n, dtype=np.int8)
+        channels[nodes] = chans
+        actions[nodes] = acts
         return (
-            self._ch[local],
-            self._act[local],
-            bool(self._listen_rows[local]),
-            bool(self._send_rows[local]),
+            channels,
+            actions,
+            bool((acts == ACT_LISTEN).any()),
+            bool((acts == ACT_SEND_MSG).any()),
         )
 
     def end_slot(self, slot: int, feedback: Optional[np.ndarray]) -> None:
@@ -316,26 +351,37 @@ class _SharedCoinColumns(ColumnProtocol):
             self._start_period()
 
     # -- window interface -------------------------------------------------------
-    def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self._local == self._act.shape[0]:
-            self._chunk_base += self._act.shape[0]
-            self._local = 0
+    def begin_window(self, slot: int, limit: int) -> Window:
+        if self._local == self._k:
             self._load_chunk()
         lo = self._local
-        W = min(int(limit), self._act.shape[0] - lo)
-        return self._ch[lo:lo + W], self._act[lo:lo + W]
+        W = min(int(limit), self._k - lo)
+        rows = self._rows
+        part = slice(rows.searchsorted(lo), rows.searchsorted(lo + W))
+        rows = rows[part] - lo
+        nodes, acts, chans = self._nodes[part], self._acts[part], self._chans[part]
+        if self._cand.size:  # drop uninformed nodes' idle send coins
+            keep = np.flatnonzero(acts)
+            rows, nodes, acts, chans = rows[keep], nodes[keep], acts[keep], chans[keep]
+        return W, rows, nodes, acts, chans
 
-    def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
-        W = feedback.shape[0]
-        if self.informed.all():
-            events = _NO_EVENTS  # nobody left to inform: no truncation
-        else:
-            hear = (feedback == FB_MSG) & ~self.informed[None, :]
-            events = np.nonzero(hear.any(axis=1))[0]
-        A = int(events[0]) + 1 if events.size else W
-        self.noisy += (feedback[:A] == FB_NOISE).sum(axis=0, dtype=np.int64)
-        if events.size:
-            heard = hear[A - 1]
+    def absorb_window(
+        self, slot: int, W: int, rows: np.ndarray, nodes: np.ndarray,
+        feedback: np.ndarray,
+    ) -> int:
+        A, end, heard = W, rows.size, None
+        if not self.informed.all():  # else nobody is left to inform
+            hear = np.flatnonzero((feedback == FB_MSG) & ~self.informed[nodes])
+            if hear.size:
+                # commit through the first row an uninformed listener hears m
+                A = int(rows[hear[0]]) + 1
+                end = int(rows.searchsorted(A))
+                heard = np.zeros(self.n, dtype=bool)
+                heard[nodes[hear[hear < end]]] = True
+        self.noisy += np.bincount(
+            nodes[:end][feedback[:end] == FB_NOISE], minlength=self.n
+        )
+        if heard is not None:
             self.informed |= heard
             self.informed_slot[heard] = slot + A - 1
             self._promote(heard, self._local + A)
@@ -600,15 +646,20 @@ class MultiCastAdvColumns(ColumnProtocol):
             actions[send & ~un] = ACT_SEND_MSG
         return actions
 
-    def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    def begin_window(self, slot: int, limit: int) -> Window:
         limit = min(int(limit), self.R - self.t)
         if self._pend_coin is None or self._pend_coin.shape[0] == 0:
             self._draw_rows(limit)
         W = min(limit, self._pend_coin.shape[0])
-        return self._pend_ch[:W], self._window_actions(self._pend_coin[:W])
+        return self._participants(
+            self._pend_ch[:W], self._window_actions(self._pend_coin[:W])
+        )
 
-    def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
-        W = feedback.shape[0]
+    def absorb_window(
+        self, slot: int, W: int, rows: np.ndarray, nodes: np.ndarray,
+        feedback: np.ndarray,
+    ) -> int:
+        feedback = self._densify(W, rows, nodes, feedback)
         if self.step == 1:
             promote = (feedback == FB_MSG) & (self.status == STATUS_UN)[None, :]
             events = np.nonzero(promote.any(axis=1))[0]
@@ -726,16 +777,19 @@ class DecayColumns(ColumnProtocol):
                 self._load_round()
 
     # -- window interface -------------------------------------------------------
-    def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    def begin_window(self, slot: int, limit: int) -> Window:
         lo = self.t
         W = min(int(limit), self.L - lo)
-        return (
+        return self._participants(
             np.broadcast_to(self._zero_channels, (W, self.n)),
             self._act[lo:lo + W],
         )
 
-    def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
-        W = feedback.shape[0]
+    def absorb_window(
+        self, slot: int, W: int, rows: np.ndarray, nodes: np.ndarray,
+        feedback: np.ndarray,
+    ) -> int:
+        feedback = self._densify(W, rows, nodes, feedback)
         if self.informed.all():
             events = _NO_EVENTS  # nobody left to inform: no truncation
         else:
@@ -868,16 +922,19 @@ class NaiveColumns(ColumnProtocol):
         self._begin_block(last_slot + 1)
 
     # -- window interface -------------------------------------------------------
-    def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    def begin_window(self, slot: int, limit: int) -> Window:
         lo = self._bt
         W = min(int(limit), self._K - lo)
-        return (
+        return self._participants(
             self._channels[lo:lo + W],
             np.broadcast_to(self._act_row, (W, self.n)),
         )
 
-    def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
-        W = feedback.shape[0]
+    def absorb_window(
+        self, slot: int, W: int, rows: np.ndarray, nodes: np.ndarray,
+        feedback: np.ndarray,
+    ) -> int:
+        feedback = self._densify(W, rows, nodes, feedback)
         if self.informed.all():
             events = _NO_EVENTS  # nobody left to inform: no truncation
         else:
@@ -1052,7 +1109,7 @@ class MultiCastCColumns(ColumnProtocol):
             self._start_iteration()
 
     # -- window interface -------------------------------------------------------
-    def begin_window(self, slot: int, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    def begin_window(self, slot: int, limit: int) -> Window:
         limit = int(limit)
         S, n = self.S, self.n
         q0 = self._q
@@ -1063,7 +1120,9 @@ class MultiCastCColumns(ColumnProtocol):
         extra = min((limit - head) // S, rounds_left) if limit > head else 0
         if extra <= 0:
             W = min(limit, head)
-            return np.broadcast_to(self._phys_ch, (W, n)), first_act[:W]
+            return self._participants(
+                np.broadcast_to(self._phys_ch, (W, n)), first_act[:W]
+            )
         # expand further whole rounds of the loaded block from the virtual
         # draw matrices — speculative on the current informed/active sets
         rr = slice(self._r + 1, self._r + 1 + extra)
@@ -1083,10 +1142,13 @@ class MultiCastCColumns(ColumnProtocol):
             [np.broadcast_to(self._phys_ch, (head, n)), np.repeat(phys, S, axis=0)]
         )
         actions = np.concatenate([first_act, acts3.reshape(extra * S, n)])
-        return channels, actions
+        return self._participants(channels, actions)
 
-    def absorb_window(self, slot: int, feedback: np.ndarray) -> int:
-        W = feedback.shape[0]
+    def absorb_window(
+        self, slot: int, W: int, rows: np.ndarray, nodes: np.ndarray,
+        feedback: np.ndarray,
+    ) -> int:
+        feedback = self._densify(W, rows, nodes, feedback)
         S = self.S
         q0 = self._win_q0
         head = S - q0

@@ -307,8 +307,8 @@ class ArenaLanes:
     to ``B`` independent :class:`ArenaNetwork` runs), per-lane clock and
     overrun flag, with finished lanes simply dropping out of the driver's
     live set.  The windowed driver (:mod:`repro.arena.window`) stacks all
-    live lanes' window rows into one :func:`repro.sim.channel.resolve_block`
-    call per pass; this class only keeps the books."""
+    live lanes' window participants into one resolver call per pass; this
+    class only keeps the books."""
 
     def __init__(self, n: int, adversaries):
         if n < 2:

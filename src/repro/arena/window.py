@@ -27,10 +27,18 @@ two facts then make whole windows resolvable in one batched pass:
    slot-stepped run — the differential suite
    (``tests/arena/test_window_equivalence.py``) asserts bit-identity.
 
+Windows travel as *participant lists* (:meth:`ColumnProtocol.begin_window
+<repro.arena.columns.ColumnProtocol.begin_window>`): each acting node's
+row, node, action and channel, never a dense ``(W, n)`` matrix.  The
+driver marks the busy cells from the senders and resolves every listener
+in one call of one resolver (:func:`_listener_feedback`), whose only
+grids are the pass's ``(rows, C)`` busy and jam masks.
+
 On top of window stepping, the driver hosts a **trial-lane axis**: ``B``
-independent trials of the same protocol stack their window rows lane-major
-into one :func:`repro.sim.channel.resolve_block` call per pass (rows are
-resolved independently, so lane stacking is exact), with per-lane books in
+independent trials of the same protocol stack their participants
+lane-major, each lane's rows offset past the previous lane's window, into
+one resolver call per pass (rows are resolved independently, so lane
+stacking is exact), with per-lane books in
 :class:`repro.arena.network.ArenaLanes` and finished lanes dropping out of
 the live set.  ``B = 1`` is the single-trial path behind
 :func:`~repro.arena.run.run_broadcast_adaptive`.
@@ -68,14 +76,12 @@ from repro.core.result import BroadcastResult
 from repro.obs.recorder import active as _obs_active
 from repro.sim.channel import (
     ACT_LISTEN,
+    ACT_SEND_BEACON,
     ACT_SEND_MSG,
-    DENSE_CELL_LIMIT,
+    FB_BEACON,
     FB_MSG,
     FB_NOISE,
-    FB_NONE,
     FB_SILENCE,
-    _resolve_dense,
-    resolve_block,
 )
 from repro.sim.jam import JamBlock
 
@@ -120,6 +126,41 @@ def _query_rows(adversary, clock: int, rows: int, C: int, out=None) -> None:
         block = JamBlock.coerce(adversary.jam_block(clock + t, 1, C))
         if out is not None:
             out[t, block.channels] = True
+
+
+def _listener_feedback(
+    listen_key: np.ndarray,
+    send_key: np.ndarray,
+    send_acts: np.ndarray,
+    busy: np.ndarray,
+    jam: np.ndarray,
+) -> np.ndarray:
+    """Resolve a pass's listeners: the window kernel's one resolver.
+
+    Keys are flat ``row * C + channel`` cells of the pass's ``(rows, C)``
+    ``busy`` grid (a cell is busy iff it holds a sender) and ``jam`` grid;
+    ``send_acts`` are the senders' ``ACT_SEND_*`` codes.  A listener hears
+    noise where its cell is jammed or holds two or more senders, the lone
+    sender's payload (``m`` or the beacon) where it holds exactly one, and
+    silence otherwise — :func:`repro.sim.channel.resolve_block`'s rules.
+    Only listeners on busy cells look their senders up, by binary search
+    in the sorted sender keys; nothing is sized by the grid but the two
+    grids themselves."""
+    feedback = np.full(listen_key.size, FB_SILENCE, dtype=np.int8)
+    heard = np.flatnonzero(busy.ravel()[listen_key])
+    if heard.size:
+        order = np.argsort(send_key, kind="stable")
+        keys = send_key[order]
+        cell = listen_key[heard]
+        first = keys.searchsorted(cell)
+        after = np.minimum(first + 1, keys.size - 1)
+        lone = (first + 1 == keys.size) | (keys[after] != cell)
+        payload = np.where(
+            send_acts[order[first]] == ACT_SEND_BEACON, FB_BEACON, FB_MSG
+        )
+        feedback[heard] = np.where(lone, payload, FB_NOISE)
+    feedback[jam.ravel()[listen_key]] = FB_NOISE
+    return feedback
 
 
 def run_windowed(
@@ -168,7 +209,6 @@ def run_windowed(
     # lanes whose adversary cannot roll back never speculate: width 1
     lane_cap = [int(window_cap) if speculates else 1 for _, speculates in kinds]
     want = [min(WINDOW_MIN, c) for c in lane_cap]  # adaptive speculative width
-    any_beacons = any(cols.emits_beacons for cols in columns)
     live = list(range(B))
     tel = _obs_active()
     while live:
@@ -181,36 +221,37 @@ def run_windowed(
             if limit <= 0:
                 lanes.overrun[b] = True
                 continue
-            ch, act = cols.begin_window(clock, limit)
-            entries.append((b, clock, cols.current_channels(), ch, act))
+            W, rows, nodes, acts, chans = cols.begin_window(clock, limit)
+            entries.append(
+                (b, clock, cols.current_channels(), W, rows, nodes, acts, chans)
+            )
         if not entries:
             break
         # -- one lane-stacked kernel pass ------------------------------------
         if tel is not None:
             t0 = time.perf_counter()
-        widths = [e[4].shape[0] for e in entries]
-        rows = sum(widths)
+        widths = [e[3] for e in entries]
+        total = sum(widths)
         C_max = max(e[2] for e in entries)
-        if len(entries) == 1:  # single live lane: serve the adapter's views
-            channels, actions = entries[0][3], entries[0][4]
-        else:
-            channels = np.concatenate([e[3] for e in entries], axis=0)
-            actions = np.concatenate([e[4] for e in entries], axis=0)
-        busy = np.zeros((rows, C_max), dtype=bool)
-        # one boolean scan for both classes (np.nonzero's int8 path is slow)
-        part_r, part_u = np.divmod(np.flatnonzero(actions != 0), n)
-        acts = actions[part_r, part_u]
-        sending = acts >= ACT_SEND_MSG
-        send_r, send_u = part_r[sending], part_u[sending]
-        listening = acts == ACT_LISTEN
-        listen_r, listen_u = part_r[listening], part_u[listening]
-        ch_send = channels[send_r, send_u]
-        busy[send_r, ch_send] = True
-        jam = np.zeros((rows, C_max), dtype=bool)
+        if len(entries) == 1:  # single live lane: the adapter's own arrays
+            rows, nodes, acts, chans = entries[0][4:]
+        else:  # stack lanes by offsetting each lane's rows past the last
+            starts = np.cumsum([0] + widths[:-1])
+            rows = np.concatenate([e[4] + off for e, off in zip(entries, starts)])
+            nodes = np.concatenate([e[5] for e in entries])
+            acts = np.concatenate([e[6] for e in entries])
+            chans = np.concatenate([e[7] for e in entries])
+        sending = np.flatnonzero(acts >= ACT_SEND_MSG)
+        send_r, send_u = rows[sending], nodes[sending]
+        send_key = send_r * C_max + chans[sending]
+        busy = np.zeros((total, C_max), dtype=bool)
+        busy.ravel()[send_key] = True
+        listening = np.flatnonzero(acts == ACT_LISTEN)
+        listen_r, listen_u = rows[listening], nodes[listening]
+        jam = np.zeros((total, C_max), dtype=bool)
         rollbacks = []  # per-entry (checkpoint, targets, valid) or None
         off = 0
-        for i, (b, clock, C, ch, act) in enumerate(entries):
-            W = widths[i]
+        for i, (b, clock, C, W, *_) in enumerate(entries):
             adv = adversaries[b]
             kind = kinds[b][0]
             rollback = None
@@ -245,37 +286,25 @@ def run_windowed(
                 tel.count("window.adv_queries")
             rollbacks.append(rollback)
             off += W
-        if not any_beacons:
-            # inline no-beacon resolution (same rules as _resolve_dense with
-            # an empty beacon class), reusing the sender gather from the busy
-            # scatter: all grid work is (rows, C), never (rows, n)
-            counts = np.bincount(
-                send_r * C_max + ch_send, minlength=rows * C_max
-            ).reshape(rows, C_max)
-            grid = np.full((rows, C_max), FB_SILENCE, dtype=np.int8)
-            grid[counts == 1] = FB_MSG
-            grid[jam | (counts >= 2)] = FB_NOISE
-            feedback = np.full((rows, n), FB_NONE, dtype=np.int8)
-            feedback[listen_r, listen_u] = grid[
-                listen_r, channels[listen_r, listen_u]
-            ]
-        elif rows * C_max <= DENSE_CELL_LIMIT:
-            # jam is already the dense (rows, C) mask resolve_block would
-            # rebuild; skip its JamBlock round-trip and validation
-            feedback = _resolve_dense(channels, actions, jam)
-        else:
-            feedback = resolve_block(channels, actions, jam)
+        feedback = _listener_feedback(
+            listen_r * C_max + chans[listening], send_key, acts[sending], busy, jam
+        )
         if tel is not None:
             tel.add_time("window.kernel_s", time.perf_counter() - t0)
             tel.count("window.passes")
+            tel.count("window.participants", rows.size)
+            tel.count("window.node_slots", total * n)
             tel.observe("window.occupancy", len(entries))
         # -- commit per-lane prefixes ----------------------------------------
         next_live = []
         off = 0
-        for i, (b, clock, C, ch, act) in enumerate(entries):
-            W = widths[i]
+        for i, (b, clock, C, W, *_) in enumerate(entries):
             cols = columns[b]
-            A = cols.absorb_window(clock, feedback[off:off + W])
+            lo = np.searchsorted(listen_r, off)
+            hi = np.searchsorted(listen_r, off + W)
+            A = cols.absorb_window(
+                clock, W, listen_r[lo:hi] - off, listen_u[lo:hi], feedback[lo:hi]
+            )
             cap = lane_cap[b]
             want[b] = min(want[b] * 2, cap) if A == W else min(WINDOW_MIN, cap)
             adv = adversaries[b]
@@ -300,7 +329,6 @@ def run_windowed(
                     tel.count("window.rollbacks")
                     tel.count("window.adv_queries")
                     tel.count("window.replayed_slots", A)
-            lo = np.searchsorted(listen_r, off)
             hi = np.searchsorted(listen_r, off + A)
             listen_counts = np.bincount(listen_u[lo:hi], minlength=n)
             lo = np.searchsorted(send_r, off)

@@ -222,8 +222,9 @@ def _shared_coin_ragged(
         lane advancing per pass.  A block with no active uninformed node
         has no listener left to inform and skips the cascade.
     3.  **Counters.**  With informing rows final, a broadcast-coin hit is a
-        send iff its row is later than its node's informing row, and a
-        listen is noisy iff its cell is jammed or holds >= 2 such sends.
+        send iff its row is later than its node's informing row (in a block
+        that skipped the cascade, every hit is), and a listen is noisy iff
+        its cell is jammed or holds >= 2 such sends.
 
     Nodes are keyed ``lane * n + node`` into raveled ``(L * n,)`` arrays,
     so every per-node read is a 1-D take and every per-node minimum a 1-D
@@ -327,10 +328,13 @@ def _shared_coin_ragged(
             informed_slot[new_lane, new_node] = (
                 slot0[new_lane] + informing_row[new] * slot_scale
             )
+        # a broadcast-coin hit is a send iff its row is past its node's
+        # informing row; in a settled block every hit is one
+        sent = np.flatnonzero(s_row > informing_row[s_key])
+        s_key, s_gid = s_key[sent], s_gid[sent]
 
-    sent = np.flatnonzero(s_row > informing_row[s_key])
-    send_counts = np.bincount(s_key[sent], minlength=LN).reshape(L, n)
-    noisy = np.bincount(s_gid[sent], minlength=G)[l_gid] >= 2
+    send_counts = np.bincount(s_key, minlength=LN).reshape(L, n)
+    noisy = np.bincount(s_gid, minlength=G)[l_gid] >= 2
     if l_jam is not None:
         noisy |= l_jam
     noise_counts = np.bincount(

@@ -183,6 +183,13 @@ def render_report(events: Sequence[dict]) -> str:
                 f"window committed-prefix fraction: {comm / prop * 100:.1f}% "
                 f"({comm}/{prop} speculative slots kept)"
             )
+        part = counters.get("window.participants", 0)
+        cells = counters.get("window.node_slots", 0)
+        if cells:
+            lines.append(
+                f"window participant share: {part / cells * 100:.2f}% "
+                f"({part} participants served over {cells} proposed node-slots)"
+            )
 
     # -- adaptive wave trajectory ------------------------------------------
     if waves:

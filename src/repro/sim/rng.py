@@ -14,8 +14,10 @@ Streams are spawned from a single root :class:`numpy.random.SeedSequence`, so
 :func:`bounded_integers` is the block engines' channel draw: the values and
 stream consumption of ``Generator.integers`` at a fraction of its cost when
 the bound is a power of two (DESIGN.md section 6.5).
-:func:`skip_bounded_integers` consumes the same draw without producing it,
-by PCG64 jump-ahead when the draw is raw words.
+:func:`bounded_integer_rows` makes several such draws back to back from one
+generator in one raw-word fill (the arena's per-node channel and coin
+chunks), and :func:`skip_bounded_integers` consumes a draw without
+producing it, by PCG64 jump-ahead when the draw is raw words.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from typing import Iterable, List
 
 import numpy as np
 
-__all__ = ["RandomFabric", "bounded_integers", "derive_seed", "skip_bounded_integers"]
+__all__ = [
+    "RandomFabric",
+    "bounded_integer_rows",
+    "bounded_integers",
+    "derive_seed",
+    "skip_bounded_integers",
+]
 
 #: Output dtypes ``Generator.integers`` fills one 32-bit word per value for
 #: (bounds up to 2**31); narrower dtypes split words into 8/16-bit pieces.
@@ -36,17 +44,18 @@ _WORD_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _LOW_HALF_FIRST = sys.byteorder == "little"
 
 
-def _raw_words(bg, high: int, count: int, dtype) -> bool:
-    """True when ``count`` values of ``integers(0, high, dtype=dtype)`` are
-    exactly the top bits of the next ``count // 2`` raw PCG64 outputs: the
-    bound is a power of two in ``[2, 2**31]``, the count is even, the dtype
-    takes one 32-bit word per value, no half word is buffered, the bit
-    generator is PCG64 and the host little-endian."""
+def _raw_words(bg, highs, count: int, dtype) -> bool:
+    """True when ``count`` values of ``integers(0, high, dtype=dtype)``, for
+    each ``high`` of ``highs`` in turn, are exactly the top bits of the next
+    ``count // 2`` raw PCG64 outputs each: every bound is a power of two in
+    ``[2, 2**31]``, the count is even, the dtype takes one 32-bit word per
+    value, no half word is buffered, the bit generator is PCG64 and the host
+    little-endian.  An even raw-word draw leaves no half word buffered, so
+    the generator state is read once for the whole sequence."""
     return (
-        2 <= high <= 2**31
-        and (high & (high - 1)) == 0
-        and count % 2 == 0
+        count % 2 == 0
         and dtype in _WORD_DTYPES
+        and all(2 <= high <= 2**31 and (high & (high - 1)) == 0 for high in highs)
         and type(bg) is np.random.PCG64
         and _LOW_HALF_FIRST
         and bg.state["has_uint32"] == 0
@@ -73,13 +82,39 @@ def bounded_integers(rng: np.random.Generator, high: int, out: np.ndarray) -> np
     """
     high = int(high)
     bg = rng.bit_generator
-    if _raw_words(bg, high, out.size, out.dtype):
+    if _raw_words(bg, (high,), out.size, out.dtype):
         words = bg.random_raw(out.size // 2).view(np.uint32).reshape(out.shape)
         # shifting into a same-width unsigned view skips the ufunc's cast
         target = out.view(np.uint32) if out.dtype == np.int32 else out
         np.right_shift(words, 32 - (high.bit_length() - 1), out=target)
     else:
         out[...] = rng.integers(0, high, size=out.shape, dtype=out.dtype)
+    return out
+
+
+def bounded_integer_rows(
+    rng: np.random.Generator, highs, out: np.ndarray
+) -> np.ndarray:
+    """Fill each row ``out[i]`` of a C-contiguous ``(len(highs), k)`` array
+    exactly as consecutive calls ``bounded_integers(rng, highs[i], out[i])``
+    would, in row order, and return ``out``.
+
+    When every row is raw words (:func:`_raw_words`, asked once for the
+    whole sequence), one ``random_raw`` call yields the words of every row,
+    and one shift takes each row's top bits by its own bound.  Otherwise the
+    rows are drawn one :func:`bounded_integers` call each.  As there, only
+    the unread ``uinteger`` field can differ from the state the calls leave.
+    """
+    highs = [int(high) for high in highs]
+    bg = rng.bit_generator
+    if _raw_words(bg, highs, out.shape[1], out.dtype):
+        words = bg.random_raw(out.size // 2).view(np.uint32).reshape(out.shape)
+        shifts = np.array([33 - high.bit_length() for high in highs], dtype=np.uint32)
+        target = out.view(np.uint32) if out.dtype == np.int32 else out
+        np.right_shift(words, shifts[:, None], out=target)
+    else:
+        for high, row in zip(highs, out):
+            bounded_integers(rng, high, row)
     return out
 
 
@@ -100,7 +135,7 @@ def skip_bounded_integers(rng: np.random.Generator, high: int, count: int) -> No
     bg = rng.bit_generator
     if high == 1:
         return
-    if _raw_words(bg, high, count, np.dtype(np.int32)):
+    if _raw_words(bg, (high,), count, np.dtype(np.int32)):
         bg.advance(count // 2)
     else:
         bounded_integers(rng, high, np.empty(count, dtype=np.int32))

@@ -149,6 +149,23 @@ class TestChunkBoundaryParity:
         assert lengths[2] > DRAW_CHUNK and scalar.slots == sum(lengths)
         assert scalar.halt_slot.min() <= lengths[0] + lengths[1]
 
+    def test_multicast_numpy_channel_draws_across_a_chunk_boundary(self):
+        """n = 24: C = 12 is no power of two, so every channel row takes
+        numpy's ``integers`` path while the coin rows stay raw words.
+        Fig. 2 from iteration 3: R = 2019, then 10764 (an 8192-slot chunk
+        and a 2572-slot one), drawn after some nodes halted."""
+        proto = MultiCast(24, a=0.5, start_iteration=3)
+        lengths = [proto.iteration_length(i) for i in (3, 4)]
+        scalar = run_scalar_multicast(
+            24, BlanketJammer(20_000, channels=0.5), a=0.5, start_iteration=3, seed=1
+        )
+        arena = run_broadcast_adaptive(
+            proto, 24, BlanketJammer(20_000, channels=0.5), seed=1
+        )
+        assert_parity(scalar, arena, ("multicast n=24",))
+        assert lengths[1] > DRAW_CHUNK and scalar.slots == sum(lengths)
+        assert scalar.halt_slot.min() == lengths[0]
+
 
 class TestMultiCastAdvParity:
     def test_truncated_run_fast(self):

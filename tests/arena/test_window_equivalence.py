@@ -216,8 +216,12 @@ def test_windowless_reactive_runs_at_width_one():
     begin = columns.begin_window
 
     def spy(slot, limit):
+        window = begin(slot, limit)
+        W, rows, nodes, acts, chans = window
         limits.append(limit)
-        return begin(slot, limit)
+        assert W == 1 and (rows == 0).all()
+        assert rows.size == nodes.size == acts.size == chans.size
+        return window
 
     columns.begin_window = spy
     with collect_fallback_notes() as notes:

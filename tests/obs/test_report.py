@@ -35,7 +35,8 @@ def _events():
          "trials": 16, "workers": 2, "elapsed": 2.0},
         {"event": "summary", "source": "main", "seq": 7,
          "counters": {"batch.kernel_passes": 12, "window.adv_queries": 3,
-                      "window.slots_proposed": 40, "window.slots_committed": 30},
+                      "window.slots_proposed": 40, "window.slots_committed": 30,
+                      "window.participants": 64, "window.node_slots": 640},
          "timers": {"batch.kernel_s": {"seconds": 1.2, "count": 12}},
          "hists": {"batch.occupancy": {"0": 1, "3": 5}}},
     ]
@@ -60,6 +61,7 @@ class TestRenderReport:
         # window derived lines: queries saved + committed-prefix fraction
         assert "saved 27 adversary queries" in text
         assert "committed-prefix fraction: 75.0% (30/40" in text
+        assert "participant share: 10.00% (64 participants served over 640" in text
         # wave trajectory: worst open-cell CI per wave
         assert "0.5000" in text and "0.1000" in text
         # recovery + fallback notes

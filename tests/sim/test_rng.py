@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim.rng import (
     RandomFabric,
+    bounded_integer_rows,
     bounded_integers,
     derive_seed,
     skip_bounded_integers,
@@ -347,3 +348,109 @@ class TestSkipBoundedIntegers:
             for g in (ref_rng, fast_rng):
                 g.integers(0, 4, size=1, dtype=np.int32)
         self.check(ref_rng, fast_rng, 2**k, count)
+
+
+class TestBoundedIntegerRows:
+    """``bounded_integer_rows`` against the consecutive ``bounded_integers``
+    calls it stands for: the Figs. 1/2 arena adapters fill each node's
+    channel row and then its coin row with it (DESIGN.md section 7.2).
+
+    Triplet generators: one makes the calls row by row, one draws each row
+    with ``Generator.integers`` itself (so a fault in the exactness rule
+    both paths ask cannot hide), the third makes one
+    ``bounded_integer_rows`` call.  Values must match, and so must the
+    generator state (``uinteger`` aside) and the next ``random()``,
+    ``integers()`` and ``random_raw()`` draws.  Power-of-two and other
+    bounds, even and odd counts, a buffered half word or none, PCG64 and
+    Philox.
+    """
+
+    HIGHS = [(32, 64), (12, 64), (32, 6), (1, 4), (2, 2**31), (4, 8, 16)]
+    COUNTS = [0, 1, 2, 7, 8, 811, 2572]
+
+    twins = staticmethod(TestBoundedIntegers.twins)
+    assert_same_stream = staticmethod(TestSkipBoundedIntegers.assert_same_stream)
+
+    @staticmethod
+    def triplets(seed, bit_generator=np.random.PCG64, half_word=False):
+        rngs = [np.random.Generator(bit_generator(seed)) for _ in range(3)]
+        if half_word:
+            for g in rngs:
+                g.integers(0, 4, size=1, dtype=np.int32)
+                assert g.bit_generator.state.get("has_uint32") == 1
+        return rngs
+
+    def check(self, rngs, highs, count, dtype=np.int32):
+        ref_rng, numpy_rng, fast_rng = rngs
+        ref = np.empty((len(highs), count), dtype=dtype)
+        for high, row in zip(highs, ref):
+            bounded_integers(ref_rng, high, row)
+        out = np.empty_like(ref)
+        assert bounded_integer_rows(fast_rng, highs, out) is out
+        np.testing.assert_array_equal(out, ref)
+        for high, row in zip(highs, out):
+            np.testing.assert_array_equal(
+                row, numpy_rng.integers(0, high, size=count, dtype=dtype)
+            )
+
+        def state(rng):  # repr: Philox states hold arrays
+            raw = rng.bit_generator.state
+            return repr({k: v for k, v in raw.items() if k != "uinteger"})
+
+        assert state(numpy_rng) == state(fast_rng)
+        self.assert_same_stream(ref_rng, fast_rng)
+
+    @pytest.mark.parametrize("half_word", [False, True])
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("highs", HIGHS)
+    def test_matches_consecutive_calls(self, highs, count, half_word):
+        self.check(self.triplets(19, half_word=half_word), highs, count)
+
+    @pytest.mark.parametrize("count", [8, 811])
+    @pytest.mark.parametrize("highs", [(32, 64), (12, 64)])
+    def test_int64_rows(self, highs, count):
+        self.check(self.triplets(23), highs, count, dtype=np.int64)
+
+    @pytest.mark.parametrize("count", [0, 7, 24])
+    @pytest.mark.parametrize("highs", [(32, 64), (12, 64)])
+    def test_philox_matches_consecutive_calls(self, highs, count):
+        self.check(self.triplets(3, bit_generator=np.random.Philox), highs, count)
+
+    @pytest.mark.parametrize(
+        "bit_generator, highs, count, half_word, numpy_calls",
+        [
+            (np.random.PCG64, (32, 64), 8192, False, 0),  # the one fill
+            (np.random.PCG64, (32, 64), 811, False, 2),  # odd count
+            (np.random.PCG64, (32, 64), 8192, True, 2),  # buffered half word
+            (np.random.PCG64, (12, 64), 8192, False, 1),  # coin row raw
+            (np.random.Philox, (32, 64), 8192, False, 2),
+        ],
+    )
+    def test_routing(self, bit_generator, highs, count, half_word, numpy_calls):
+        """No ``integers`` call when every row is raw words; otherwise one
+        ``bounded_integers`` call per row, each routed on its own."""
+
+        class Spy:
+            """Counts the ``integers`` calls made through it."""
+
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self.rng, self.calls = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        ref_rng, fast_rng = self.twins(seed=9, bit_generator=bit_generator)
+        if half_word:
+            for g in (ref_rng, fast_rng):
+                g.integers(0, 4, size=1, dtype=np.int32)
+        spy = Spy(fast_rng)
+        out = np.empty((len(highs), count), dtype=np.int32)
+        ref = np.empty_like(out)
+        for high, row in zip(highs, ref):
+            bounded_integers(ref_rng, high, row)
+        bounded_integer_rows(spy, highs, out)
+        np.testing.assert_array_equal(out, ref)
+        assert spy.calls == numpy_calls
+        self.assert_same_stream(ref_rng, fast_rng)
